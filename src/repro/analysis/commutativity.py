@@ -16,7 +16,7 @@ transitive callees through the project call graph — and convict:
   the second delivery of the same op differ from the first).
 - ``COMM002`` — order dependence: the handler draws randomness, reads
   a clock, or consumes an arrival-order counter (``len()`` of a trace/
-  op-log/commit-log, ``seq``/``lseq`` attributes).  Any such input
+  commit-log, ``seq``/``lseq`` attributes).  Any such input
   differs between replicas that apply the same committed set in
   different interleavings, breaking the merged-linear-extension replay
   guarantee.
@@ -45,7 +45,7 @@ DOCS = {
     RULE_ORDER: (
         "Commit-path order dependence: an op apply handler draws "
         "randomness, reads a clock, or consumes an arrival-order counter "
-        "(len() of a trace/op-log/commit-log, seq/lseq attributes). Such "
+        "(len() of a trace/commit-log, seq/lseq attributes). Such "
         "inputs differ between replicas applying different linear "
         "extensions, so applies stop commuting."
     ),
@@ -53,8 +53,8 @@ DOCS = {
 
 #: Attribute names whose ``len()``/reads encode arrival order.
 ORDER_LOG_ATTRS = frozenset(
-    {"trace", "oplog", "_oplog", "commit_log", "_commit_log", "pending",
-     "_pending", "journal", "_journal"}
+    {"trace", "commit_log", "_commit_log", "pending", "_pending",
+     "journal", "_journal"}
 )
 
 ORDER_COUNTER_ATTRS = frozenset(

@@ -34,7 +34,12 @@ from repro.cdc.leaderboard import (
     LeaderboardView,
     WorkerTally,
 )
-from repro.cdc.subscription import ChangeStream, StreamCursor, Subscription
+from repro.cdc.subscription import (
+    ChangeStream,
+    StreamCursor,
+    StreamUnavailableError,
+    Subscription,
+)
 from repro.cdc.view import CdcView
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "LeaderboardView",
     "SnapshotChunk",
     "StreamCursor",
+    "StreamUnavailableError",
     "Subscription",
     "WorkerTally",
     "change_event_from_dict",

@@ -183,8 +183,11 @@ class LeaderboardView:
 
     def sample(self) -> dict[str, Any]:
         """A compact, JSON-able gauge for the periodic snapshot sampler
-        (the live view visible on the observability timeline)."""
-        self.refresh()
+        (the live view visible on the observability timeline).  While
+        the stream's owner is crashed the sample reports the standings
+        as of the crash; the first sample after recovery resyncs."""
+        if self.view.sub.stream.available:
+            self.refresh()
         top = sorted(
             self.tallies.values(),
             key=lambda tally: (-tally.total, tally.worker_id),

@@ -22,7 +22,9 @@ path into :class:`~repro.cdc.events.ChangeEvent`s.  Emission costs two
 integer updates per applied operation until the first subscriber
 arrives (positions and cuts must account for the server's entire
 history); with subscribers attached, each event is built once and
-offered to every subscription's bounded buffer.
+offered to every subscription's bounded buffer.  The stream keeps no
+history of its own: ``from_cut`` replay rebuilds events from the
+owner's trace, the server's one in-memory log of applied operations.
 
 Overflow → snapshot fallback
 ----------------------------
@@ -31,14 +33,19 @@ A subscription's buffer is a cursor window: when unacknowledged events
 fall off the window, the subscription is *lost* — :meth:`Subscription.poll`
 returns ``None`` and the consumer must call :meth:`Subscription.resync`,
 which hands it a fresh ``(BootstrapState, Cut)`` snapshot and resets
-the count epoch on both sides.  This is exactly the op-log-truncated
-snapshot path of the PR 2 client protocol, applied to in-process
-consumers.
+the count epoch on both sides.  This is exactly the snapshot path of
+the client resync protocol, applied to in-process consumers.
+
+A crashed owner has lost its volatile state, so reading it would hand
+the consumer a wiped replica: :meth:`Subscription.resync` and
+:meth:`Subscription.read_chunk` raise :class:`StreamUnavailableError`
+until the owner has recovered.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any
 
 from repro.cdc.events import (
@@ -51,11 +58,20 @@ from repro.cdc.events import (
 from repro.core.messages import TraceRecord
 
 
+class StreamUnavailableError(RuntimeError):
+    """A consumer read the state of a crashed change-stream owner.
+
+    The owner's table died with the process; retry once it has
+    recovered (its live subscriptions are *lost* by then, so the retry
+    is a snapshot resync against the recovered state).
+    """
+
+
 class StreamCursor:
     """Sender-side position bookkeeping for one FIFO stream consumer.
 
     ``sent_count`` counts every item sent since the cursor's last *sync
-    epoch*; ``refs`` retains the replay references (op-log seqs, or the
+    epoch*; ``refs`` retains the replay references (trace seqs, or the
     events themselves) of the most recent sends.  ``window`` bounds the
     retained refs: an integer keeps that many, ``None`` keeps all
     (trusted in-process consumers), and ``0`` keeps none (dense-log
@@ -199,7 +215,12 @@ class Subscription:
     def resync(self) -> tuple[Any, Cut]:
         """Snapshot fallback: a fresh ``(BootstrapState, Cut)`` of the
         producer's state, resetting the count epoch on both sides (the
-        op-log-truncated path of the client resync protocol)."""
+        snapshot path of the client resync protocol).
+
+        Raises:
+            StreamUnavailableError: the owner is crashed.
+        """
+        self.stream.check_available(self.name)
         state, cut = self.stream.snapshot_cut()
         self.cursor.reset()
         self.consumed = 0
@@ -242,9 +263,13 @@ class Subscription:
         namespace is exhausted.  The producer is never paused: events
         keep flowing into the buffer between reads, and the consumer
         reconciles them against the chunk windows at merge time.
+
+        Raises:
+            StreamUnavailableError: the owner is crashed.
         """
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1: {max_entries}")
+        self.stream.check_available(self.name)
         if self._ns_index >= len(NAMESPACES):
             return None
         namespace = NAMESPACES[self._ns_index]
@@ -306,12 +331,12 @@ class ChangeStream:
     """The CDC producer attached to one server's commit path.
 
     The owning server calls :meth:`note` for every operation it applies
-    (see ``BackendServer._apply_and_trace``); the stream maintains the
-    apply-order position and the per-origin-shard count vector at all
-    times, and — once any consumer has subscribed — builds one
-    :class:`~repro.cdc.events.ChangeEvent` per operation, retains a
-    bounded suffix for ``from_cut`` replay, and offers the event to
-    every live subscription.
+    (see ``BackendServer._log``); the stream maintains the apply-order
+    position and the per-origin-shard count vector at all times, and —
+    once any consumer has subscribed — builds one
+    :class:`~repro.cdc.events.ChangeEvent` per operation and offers it
+    to every live subscription.  ``from_cut`` replay reads the newest
+    ``retention`` positions back out of the owner's ``trace``.
     """
 
     def __init__(self, owner: Any, retention: int = 512) -> None:
@@ -322,7 +347,6 @@ class ChangeStream:
         self.position = 0
         self._counts: dict[int, int] = {}
         self._subs: list[Subscription] = []
-        self._recent: deque[ChangeEvent] = deque(maxlen=retention)
         self.active = False
 
     @property
@@ -336,6 +360,20 @@ class ChangeStream:
     def cut(self) -> Cut:
         """The stream's current position as a :class:`Cut`."""
         return Cut(self.position, tuple(sorted(self._counts.items())))
+
+    @property
+    def available(self) -> bool:
+        """Is the owner's state readable (the owner is not crashed)?"""
+        return not getattr(self.owner, "crashed", False)
+
+    def check_available(self, name: str) -> None:
+        """Raise :class:`StreamUnavailableError` while the owner is
+        crashed (its state is not readable)."""
+        if not self.available:
+            raise StreamUnavailableError(
+                f"subscription {name!r}: {self.obs_ns} is crashed; "
+                "retry after it recovers"
+            )
 
     def snapshot_cut(self) -> tuple[Any, Cut]:
         """Delegate to the owner's atomic ``(BootstrapState, Cut)``
@@ -364,7 +402,6 @@ class ChangeStream:
         forces)."""
         self.position = 0
         self._counts = {}
-        self._recent.clear()
         for sub in self._subs:
             sub._lost = True
 
@@ -374,8 +411,9 @@ class ChangeStream:
 
     # -- producer side ------------------------------------------------------
 
-    def note(self, shard_id: int, lseq: int, record: TraceRecord) -> None:
-        """One operation was applied at origin ``(shard_id, lseq)``.
+    def note(self, record: TraceRecord) -> None:
+        """One operation was applied at its origin coordinate
+        ``(record.shard_id, record.lseq)``.
 
         Called on the commit path for *every* applied operation: the
         position/count bookkeeping is unconditional (cuts must describe
@@ -383,20 +421,13 @@ class ChangeStream:
         only happen while a subscriber is attached.
         """
         counts = self._counts
+        shard_id = record.shard_id
         counts[shard_id] = counts.get(shard_id, 0) + 1
         position = self.position
         self.position = position + 1
         if not self.active:
             return
-        event = ChangeEvent(
-            position=position,
-            shard_id=shard_id,
-            lseq=lseq,
-            timestamp=record.timestamp,
-            worker_id=record.worker_id,
-            message=record.message,
-        )
-        self._recent.append(event)
+        event = _event(position, record)
         for sub in self._subs:
             sub.offer(event)
 
@@ -414,8 +445,10 @@ class ChangeStream:
         Args:
             name: diagnostic label (obs events and errors).
             from_cut: resume position.  ``None`` subscribes live (events
-                from now on).  A cut within the stream's retained suffix
-                replays the gap into the buffer; an older cut leaves the
+                from now on).  A cut within the newest ``retention``
+                positions replays the gap from the owner's trace into
+                the buffer; an older cut (or one before the history the
+                owner's trace holds, e.g. a seeded replica's) leaves the
                 subscription *lost* — its first :meth:`Subscription.poll`
                 returns ``None`` and the consumer snapshot-resyncs,
                 exactly as a too-stale client reattach would.
@@ -431,20 +464,23 @@ class ChangeStream:
                     f"subscription {name!r} starts at position "
                     f"{from_cut.position} but the stream is at {self.position}"
                 )
-            replay = [
-                event
-                for event in self._recent
-                if event.position >= from_cut.position
-            ]
-            missing = gap - len(replay)
-            if missing:
-                # The prefix was emitted before retention (or before the
-                # stream went active): mark it forgotten so the consumer
+            trace = self.owner.trace
+            # Every note appends one trace record, so position p lives
+            # at trace index p - base (base > 0 on a replica seeded
+            # from a snapshot cut).
+            base = self.position - len(trace)
+            start = from_cut.position - base
+            if gap > self.retention or start < 0:
+                # The gap reaches past retention (or past the history
+                # the trace holds): mark it forgotten so the consumer
                 # falls back to a snapshot.
-                sub.cursor.record_bulk(missing)
+                sub.cursor.record_bulk(gap)
                 sub._lost = True
-            for event in replay:
-                sub.offer(event)
+            else:
+                for index, record in enumerate(
+                    islice(trace, start, None), from_cut.position
+                ):
+                    sub.offer(_event(index, record))
         self._subs.append(sub)
         obs = self.obs
         if obs.enabled:
@@ -459,3 +495,15 @@ class ChangeStream:
     def unsubscribe(self, sub: Subscription) -> None:
         if sub in self._subs:
             self._subs.remove(sub)
+
+
+def _event(position: int, record: TraceRecord) -> ChangeEvent:
+    """The change event for the trace record applied at *position*."""
+    return ChangeEvent(
+        position=position,
+        shard_id=record.shard_id,
+        lseq=record.lseq,
+        timestamp=record.timestamp,
+        worker_id=record.worker_id,
+        message=record.message,
+    )

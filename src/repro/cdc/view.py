@@ -41,7 +41,7 @@ exactly as :meth:`~repro.core.table.CandidateTable.apply_replace` does.
 
 Overflow at any point falls back to the snapshot path
 (:meth:`Subscription.resync <repro.cdc.subscription.Subscription.resync>`),
-mirroring the truncated-op-log client resync.
+mirroring the client snapshot resync.
 """
 
 from __future__ import annotations

@@ -147,8 +147,8 @@ class WorkerClient:
         """Reattach to *backend* and replay buffered operations.
 
         Runs the resync protocol: reports this client's received-message
-        count, loads the bootstrap snapshot if the server's op-log could
-        not cover the gap, then flushes the offline outbox through the
+        count, loads the bootstrap snapshot if the server's retained trace
+        could not cover the gap, then flushes the offline outbox through the
         normal send path so pending fills/votes merge via the ordinary
         operation model.  Returns the resync kind (``"incremental"`` or
         ``"snapshot"``).

@@ -131,9 +131,14 @@ Message = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One entry of the back-end server's complete action trace.
+
+    The trace is the server's one in-memory record of every applied
+    operation: client resync, change-stream replay, the shard exchange
+    and the write-ahead log all read these records rather than keeping
+    copies of their own.
 
     Attributes:
         seq: server-assigned sequence number (unique, increasing).
@@ -141,12 +146,23 @@ class TraceRecord:
         worker_id: originating worker; Central Client messages carry its
             reserved identifier and are excluded from compensation.
         message: the message itself.
+        shard_id: origin commit coordinate, part 1 — the shard that
+            committed the operation (0 on a plain server).
+        lseq: origin commit coordinate, part 2 — the slot in the origin
+            shard's dense commit sequence (defaults to ``seq``, which is
+            that slot on a plain server).
     """
 
     seq: int
     timestamp: float
     worker_id: str
     message: Message
+    shard_id: int = 0
+    lseq: int = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.lseq is None:
+            object.__setattr__(self, "lseq", self.seq)
 
     def to_dict(self) -> dict[str, Any]:
         return {

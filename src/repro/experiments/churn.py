@@ -8,7 +8,8 @@ them, exercising the whole robustness stack end to end:
 
 - the fault injector purges the wire and drops link traffic;
 - the back-end retains per-client sessions and resyncs rejoiners from
-  its bounded op-log (or a snapshot when the log was truncated);
+  the retained suffix of its trace (or a snapshot when the gap reaches
+  past it);
 - clients keep working offline, buffering operations that merge via the
   normal operation model on reconnect.
 
@@ -56,7 +57,8 @@ class ChurnConfig:
     waves: int = 2
     """How many disconnect/rejoin rounds each victim goes through."""
     oplog_capacity: int = 256
-    """Bounded op-log size; small values force snapshot resyncs."""
+    """Retained trace suffix for resync; small values force snapshot
+    resyncs."""
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 The convergence theorem (paper section 2.4) assumes reliable, in-order
 delivery.  This module is the controlled way to *violate* that
-assumption so the rest of the system — sessions, op-log resync, offline
+assumption so the rest of the system — sessions, trace-suffix resync, offline
 buffering — can be shown to restore it.
 
 Fault model (connection-breaking):

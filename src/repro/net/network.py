@@ -48,7 +48,6 @@ class NetworkStats:
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    bytes_sent: int = 0
     per_link_sent: dict[tuple[str, str], int] = field(default_factory=dict)
     per_link_delivered: dict[tuple[str, str], int] = field(default_factory=dict)
     per_link_dropped: dict[tuple[str, str], int] = field(default_factory=dict)

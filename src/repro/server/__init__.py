@@ -16,7 +16,6 @@ from repro.server.backend import (
     BackendServer,
     BootstrapState,
     ClientSession,
-    OpLog,
     ResyncResult,
 )
 from repro.server.shard import (
@@ -34,7 +33,6 @@ __all__ = [
     "BackendServer",
     "BootstrapState",
     "ClientSession",
-    "OpLog",
     "ResyncResult",
     "ExchangeBatch",
     "ShardCommit",

@@ -13,10 +13,10 @@ message to every client except the originator.  Beyond the model it:
 - supplies bootstrap snapshots so clients joining mid-collection start
   from a copy identical to the master;
 - keeps a *session* per client so a disconnected client can reattach
-  and be resynced — incrementally from a bounded in-memory op-log when
-  the gap is still covered, or by a fresh bootstrap snapshot when the
-  log has been truncated past the gap (the DBLog-style snapshot
-  fallback).
+  and be resynced — incrementally from the trace's retained suffix (its
+  newest ``oplog_capacity`` records) when the gap is still covered, or
+  by a fresh bootstrap snapshot when the gap reaches past it (the
+  DBLog-style snapshot fallback).
 
 The resync protocol is acknowledged by *count*: per-link FIFO makes the
 stream a client actually received a prefix of the stream the server
@@ -104,62 +104,6 @@ class BootstrapState:
         table.superseded.update(self.superseded)
 
 
-class OpLog:
-    """A bounded, contiguous suffix of the server's applied-message log.
-
-    Entries are :class:`TraceRecord`s in seq order; when the log
-    overflows ``capacity`` the oldest entries are truncated.  Resync
-    needs a *contiguous* range, so consumers must check :meth:`covers`
-    before replaying — a gap below :attr:`first_seq` forces the
-    snapshot path.
-    """
-
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError(f"op-log capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._records: deque[TraceRecord] = deque()
-        self.truncated = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def append(self, record: TraceRecord) -> None:
-        self._records.append(record)
-        while len(self._records) > self.capacity:
-            self._records.popleft()
-            self.truncated += 1
-
-    @property
-    def first_seq(self) -> int | None:
-        return self._records[0].seq if self._records else None
-
-    @property
-    def last_seq(self) -> int | None:
-        return self._records[-1].seq if self._records else None
-
-    def covers(self, seq: int) -> bool:
-        """Is the entry with *seq* still in the log?"""
-        first, last = self.first_seq, self.last_seq
-        return first is not None and first <= seq <= last  # type: ignore[operator]
-
-    def get(self, seq: int) -> TraceRecord | None:
-        """The record with *seq*, or None if truncated/not yet applied."""
-        first = self.first_seq
-        if first is None or not self.covers(seq):
-            return None
-        return self._records[seq - first]
-
-    def entries_after(self, seq: int) -> Iterator[TraceRecord]:
-        """All retained records with seq strictly greater than *seq*."""
-        first = self.first_seq
-        if first is None:
-            return
-        start = max(seq + 1 - first, 0)
-        for index in range(start, len(self._records)):
-            yield self._records[index]
-
-
 @dataclass
 class ClientSession:
     """Server-side per-client broadcast bookkeeping for resync.
@@ -167,8 +111,8 @@ class ClientSession:
     The count/replay-ref bookkeeping is a
     :class:`~repro.cdc.subscription.StreamCursor` — the one FIFO-resync
     protocol core, shared with the shard exchange marks and the CDC
-    subscription buffers; here its window is the op-log capacity and its
-    refs are op-log seqs.  The session adds attach state and resync
+    subscription buffers; here its window is ``oplog_capacity`` and its
+    refs are trace seqs.  The session adds attach state and resync
     counters on top.  While detached, ``detach_seq`` pins the last
     server seq applied before the client went away.
     """
@@ -298,9 +242,10 @@ class BackendServer:
         on_complete: called once, when the final table first satisfies
             the template.
         on_unsatisfiable: Central Client fallback policy.
-        oplog_capacity: how many applied messages the bounded in-memory
-            op-log retains for incremental resync; a rejoin whose gap
-            reaches past the log falls back to a snapshot.
+        oplog_capacity: how many of the newest trace records count as
+            *retained* for incremental client resync and ``from_cut``
+            change-stream replay; a rejoin whose gap reaches past them
+            falls back to a snapshot.
         max_batch: how many queued messages one drain applies through
             :meth:`CandidateTable.apply_batch` before re-checking the
             derived-view consumers (PRI repair, completion).  Batching
@@ -348,6 +293,8 @@ class BackendServer:
 
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1: {max_batch}")
+        if oplog_capacity < 1:
+            raise ValueError(f"op-log capacity must be >= 1: {oplog_capacity}")
         self.sim = sim
         self.network = network
         self.schema = schema
@@ -376,18 +323,19 @@ class BackendServer:
         self._obs_ns = endpoint
         self.replica = Replica(endpoint, schema, scoring)
         self.replica.table.set_observability(self.obs, scope=self._obs_ns)
+        #: Every applied operation, once, in apply order (seq = index).
+        #: The one in-memory log the rest of the server reads.
         self.trace: list[TraceRecord] = []
-        self.oplog = OpLog(oplog_capacity)
-        self._seq = 0
+        self.oplog_capacity = oplog_capacity
         self.changes = ChangeStream(self, retention=oplog_capacity)
         self._clients: list[str] = []
         self._sessions: dict[str, ClientSession] = {}
         # When each client's local copy was last *rebased* on a full
         # snapshot (initial attach, crash rejoin, or a snapshot resync
-        # the op-log could not cover).  Sharded broadcast uses this to
-        # decide whether echo-exclusion is sound: operations committed
-        # before the rebase are no longer held locally by their origin
-        # worker, so they must be broadcast back to it.
+        # the retained trace could not cover).  Sharded broadcast uses
+        # this to decide whether echo-exclusion is sound: operations
+        # committed before the rebase are no longer held locally by
+        # their origin worker, so they must be broadcast back to it.
         self._snapshot_epoch: dict[str, float] = {}
         self.on_complete = on_complete
         self.completed = False
@@ -450,7 +398,7 @@ class BackendServer:
             raise ValueError(f"client already attached: {name!r}")
         self._clients.append(name)
         self._sessions[name] = ClientSession(
-            name, StreamCursor(window=self.oplog.capacity)
+            name, StreamCursor(window=self.oplog_capacity)
         )
         self._snapshot_epoch[name] = self.sim.now
         return BootstrapState.capture(self.replica)
@@ -467,7 +415,7 @@ class BackendServer:
             session = self._sessions.get(name)
             if session is not None:
                 session.attached = False
-                session.detach_seq = self._seq - 1
+                session.detach_seq = len(self.trace) - 1
 
     def reattach_client(self, name: str, received_count: int) -> ResyncResult:
         """Resume a detached client's session and resync its copy.
@@ -481,8 +429,8 @@ class BackendServer:
         The server replays the unacknowledged suffix of what it sent
         plus everything applied while the client was detached (its own
         operations excluded — the client applied those locally), in seq
-        order, through the normal FIFO link.  When the bounded op-log no
-        longer covers the gap, the client instead gets a fresh
+        order, through the normal FIFO link.  When the retained trace
+        suffix no longer covers the gap, the client instead gets a fresh
         :class:`BootstrapState` and both sides reset their counters.
 
         Unacknowledged messages are treated as *dead*: reattach assumes
@@ -548,25 +496,24 @@ class BackendServer:
         self, session: ClientSession, received_count: int
     ) -> list[TraceRecord] | None:
         """The records to replay for an incremental resync, or None when
-        the op-log has been truncated past the gap (snapshot needed)."""
+        the gap reaches past the retained trace suffix (snapshot
+        needed)."""
         unacked = session.cursor.unacked(received_count)
         if unacked is None:
             return None  # the unacked suffix starts before retained seqs
-        replay: list[TraceRecord] = []
-        for seq in unacked:
-            record = self.oplog.get(seq)
-            if record is None:
-                return None
-            replay.append(record)
+        trace = self.trace
+        first = max(len(trace) - self.oplog_capacity, 0)
+        if any(seq < first for seq in unacked):
+            return None
+        replay = [trace[seq] for seq in unacked]
         detach_seq = session.detach_seq
         assert detach_seq is not None
-        if self._seq - 1 > detach_seq:
-            first = self.oplog.first_seq
-            if first is None or first > detach_seq + 1:
-                return None  # entries applied while detached already truncated
+        if len(trace) - 1 > detach_seq:
+            if first > detach_seq + 1:
+                return None  # applied while detached, no longer retained
             replay.extend(
                 record
-                for record in self.oplog.entries_after(detach_seq)
+                for record in islice(trace, detach_seq + 1, None)
                 if record.worker_id != session.name
             )
         return replay
@@ -741,29 +688,35 @@ class BackendServer:
             self.obs.inc(f"{self._obs_ns}.broadcasts", len(targets))
 
     def _apply_and_trace(self, message: Message, worker_id: str) -> TraceRecord:
-        """Trace one applied message: build its record (the wire payload
-        broadcast to every client), append to trace and op-log, and
-        notify listeners.  The table application itself happened in
+        """Trace one applied message.  On a plain backend the whole
+        trace is one dense commit sequence, so each operation commits
+        at origin coordinate ``(0, seq)``."""
+        return self._trace(message, worker_id, 0, len(self.trace))
+
+    def _trace(
+        self, message: Message, worker_id: str, shard_id: int, lseq: int
+    ) -> TraceRecord:
+        """Build one applied message's record (its message is the wire
+        payload broadcast to every client), :meth:`_log` it, and notify
+        listeners.  The table application itself happened in
         :meth:`CandidateTable.apply_batch` (or in CC's replica for
         central messages) just before this call."""
         obs = self.obs
+        seq = len(self.trace)
         span = (
-            obs.span(
-                f"{self._obs_ns}.apply", worker_id=worker_id, seq=self._seq
-            )
+            obs.span(f"{self._obs_ns}.apply", worker_id=worker_id, seq=seq)
             if obs.enabled
             else None
         )
         record = TraceRecord(
-            seq=self._seq,
+            seq=seq,
             timestamp=self.sim.now,
             worker_id=worker_id,
             message=message,
+            shard_id=shard_id,
+            lseq=lseq,
         )
-        self.trace.append(record)
-        self.oplog.append(record)
-        self._seq += 1
-        self._note_change(record)
+        self._log(record)
         if worker_id != CENTRAL_CLIENT_ID:
             for listener in self._trace_listeners:
                 listener(record)
@@ -773,34 +726,32 @@ class BackendServer:
             span.close()
         return record
 
-    def _origin_coords(self, record: TraceRecord) -> tuple[int, int]:
-        """The origin commit coordinate of one applied record.  On a
-        plain backend the whole log is one dense commit sequence, so
-        the coordinate is ``(0, seq)``;
-        :class:`~repro.server.shard.ShardServer` overrides this with
-        the real origin (its own next lseq for local commits, the
-        owner's slot for exchanged operations)."""
-        return (0, record.seq)
+    def _log(self, record: TraceRecord, *, replayed: bool = False) -> None:
+        """The one append path of an applied operation.
 
-    def _note_change(self, record: TraceRecord) -> None:
-        """Write-ahead-log one applied record (when durability is on),
-        then feed it to the change stream.  The WAL append happens
+        The record joins the trace; then, unless it is being *replayed*
+        from the WAL at recovery (already logged, and covered by the
+        recovered stream cut), it is write-ahead-logged (when durability
+        is on) and noted on the change stream.  The WAL append happens
         before the record becomes visible to any consumer — before the
         broadcast fan-out and before the end-of-drain exchange flush —
         the invariant crash recovery counts on: anything a peer or
-        client ever saw is in the log."""
-        shard_id, lseq = self._origin_coords(record)
+        client ever saw is in the log.
+        """
+        self.trace.append(record)
+        if replayed:
+            return
         if self.durable is not None:
             self.durable.append(
                 WalRecord(
-                    shard_id=shard_id,
-                    lseq=lseq,
+                    shard_id=record.shard_id,
+                    lseq=record.lseq,
                     worker_id=record.worker_id,
                     timestamp=record.timestamp,
                     message=record.message,
                 )
             )
-        self.changes.note(shard_id, lseq, record)
+        self.changes.note(record)
 
     # -- durability ------------------------------------------------------------
 

@@ -44,8 +44,8 @@ Clients stay shard-oblivious.  The router registers under
 (the L7 ingress in front of the backend pool; the client→ingress hop is
 the network hop, ingress→shard dispatch is intra-datacenter and free),
 and every shard broadcasts to its attached clients *as* ``SERVER_NAME``
-— so a worker client keeps one FIFO stream per direction, the PR 2
-count-acknowledged session/op-log resync works unchanged against the
+— so a worker client keeps one FIFO stream per direction, the
+count-acknowledged session resync works unchanged against the
 client's home shard, and with ``shards=1`` the wire traffic is
 byte-identical to a plain :class:`BackendServer` (the equivalence gate
 in ``tests/test_shard_convergence.py``).
@@ -53,13 +53,14 @@ in ``tests/test_shard_convergence.py``).
 Shard-partition fault windows (:class:`repro.net.faults.ShardPartitionWindow`)
 sever the shard-to-shard links while both sides keep serving their own
 clients.  Exchange recovery mirrors the client resync protocol: each
-shard retains its full commit log plus a per-peer sent high-water mark,
+shard indexes its full commit log — the local-origin records of its
+trace — plus a per-peer sent high-water mark,
 each receiver tracks a per-peer applied prefix count, and at heal time
 (:meth:`ShardedBackend.resync_links`) the sender rolls its mark back to
 the receiver's acknowledged prefix and re-flushes the missing suffix.
 Per-link FIFO delivery makes the received stream a prefix of the sent
 stream, so the count alone identifies the loss — the same invariant the
-client op-log resync relies on.
+client session resync relies on.
 
 Only the primary shard (shard 0) hosts the Central Client and the
 completion tracker; its PRI repairs commit locally and propagate like
@@ -106,7 +107,6 @@ from repro.server.backend import (
     BackendServer,
     BootstrapState,
     ClientSession,
-    OpLog,
     ResyncResult,
     _CompletionTracker,
 )
@@ -214,9 +214,10 @@ class ExchangeBatch:
 def encode_exchange(
     shard_id: int,
     first_lseq: int,
-    entries: list[tuple[ShardCommit, Message]],
+    records: list[TraceRecord],
 ) -> ExchangeBatch:
-    """Encode a contiguous commit-log run as an :class:`ExchangeBatch`."""
+    """Encode a contiguous commit-log run (the committing shard's own
+    trace records, in lseq order) as an :class:`ExchangeBatch`."""
     values: list[tuple[tuple[str, CellValue], ...]] = []
     value_index: dict[tuple[tuple[str, CellValue], ...], int] = {}
     workers: list[str] = []
@@ -240,8 +241,9 @@ def encode_exchange(
             workers.append(worker_id)
         return ref
 
-    for commit, message in entries:
-        head = (wref(commit.worker_id), commit.timestamp)
+    for record in records:
+        message = record.message
+        head = (wref(record.worker_id), record.timestamp)
         if isinstance(message, ReplaceMessage):
             ops.append(
                 (
@@ -323,21 +325,6 @@ def decode_exchange(batch: ExchangeBatch) -> list[tuple[ShardCommit, Message]]:
     return entries
 
 
-class _RemoteOrigin:
-    """Queue marker: a pending message that arrived via shard exchange.
-
-    Carries the origin worker id (for broadcast exclusion and the
-    trace) and the owner's commit record; applied remote operations are
-    *not* re-committed or re-exchanged by the receiving shard.
-    """
-
-    __slots__ = ("worker_id", "commit")
-
-    def __init__(self, worker_id: str, commit: ShardCommit) -> None:
-        self.worker_id = worker_id
-        self.commit = commit
-
-
 class ShardExchangeError(RuntimeError):
     """A shard observed a gap in a peer's exchange stream.
 
@@ -351,7 +338,7 @@ class ShardServer(BackendServer):
     """One shard: a full-replica backend that owns a slice of the keys.
 
     Everything a :class:`BackendServer` is — master-copy replica,
-    per-client sessions and op-log resync, batched drains, trace — plus
+    per-client sessions and trace-suffix resync, batched drains — plus
     the decentralised commit/exchange machinery.  The shard registers
     under :func:`shard_endpoint` for shard-to-shard traffic but serves
     its clients as :data:`SERVER_NAME`; only the primary (shard 0)
@@ -378,10 +365,6 @@ class ShardServer(BackendServer):
             raise ValueError(f"shard_id {shard_id} out of range 0..{n_shards - 1}")
         self.shard_id = shard_id
         self.n_shards = n_shards
-        # Origin coordinate of the operation currently being traced,
-        # stashed for the _note_change hook (the base class calls it
-        # inside _apply_and_trace, before the commit-log append).
-        self._change_coords: tuple[int, int] = (shard_id, 0)
         primary = shard_id == 0
         super().__init__(
             sim,
@@ -402,8 +385,9 @@ class ShardServer(BackendServer):
         self.peers: tuple[str, ...] = tuple(
             shard_endpoint(j) for j in range(n_shards) if j != shard_id
         )
-        #: Every operation this shard committed, in lseq order.
-        self.commit_log: list[tuple[ShardCommit, Message]] = []
+        #: Every operation this shard committed, in lseq order: the
+        #: local-origin records of :attr:`trace` (the same objects).
+        self.commit_log: list[TraceRecord] = []
         # Exchange bookkeeping: a per-peer StreamCursor (window 0 — the
         # commit log is dense, so the sent count alone locates the
         # replay suffix) and a per-origin-shard applied prefix count.
@@ -462,54 +446,66 @@ class ShardServer(BackendServer):
         super().ingest(source, messages)
 
     def _apply_and_trace(self, message: Message, worker_id: Any) -> TraceRecord:
-        if isinstance(worker_id, _RemoteOrigin):
-            # A peer-committed operation: trace it under its origin
-            # worker (compensation and echo-exclusion need the real
-            # author), but do not commit or re-exchange it.
-            commit = worker_id.commit
-            self._change_coords = (commit.shard_id, commit.lseq)
-            record = super()._apply_and_trace(message, worker_id.worker_id)
+        """Trace one applied message at its *origin* commit coordinate,
+        so any consumer's cut is a per-origin-shard prefix vector
+        comparable across replicas, and so the WAL logs where each
+        operation was committed (recovery rebuilds the applied-prefix
+        vector from exactly these coordinates).
+
+        *worker_id* is the author's id for an operation this shard
+        commits (at its next lseq), or the :class:`ShardCommit` decoded
+        from a peer's exchange batch — traced under its origin worker
+        (compensation and echo-exclusion need the real author) at the
+        owner's slot, and neither re-committed nor re-exchanged.
+        """
+        if isinstance(worker_id, ShardCommit):
             self.exchange_ops_applied += 1
-            return record
-        # The commit-log append happens after the super() call, so the
-        # slot this operation is about to take is the current length.
-        self._change_coords = (self.shard_id, len(self.commit_log))
-        record = super()._apply_and_trace(message, worker_id)
-        commit = ShardCommit(
-            shard_id=self.shard_id,
-            lseq=len(self.commit_log),
-            worker_id=record.worker_id,
-            timestamp=record.timestamp,
+            commit = worker_id
+            return self._trace(
+                message, commit.worker_id, commit.shard_id, commit.lseq
+            )
+        record = self._trace(
+            message, worker_id, self.shard_id, len(self.commit_log)
         )
-        self.commit_log.append((commit, message))
         if self.peers:
             self._flush_needed = True
         return record
 
-    def _origin_coords(self, record: TraceRecord) -> tuple[int, int]:
-        """The *origin* commit coordinate — the shard's own next lseq
-        for local commits, the owner's commit slot for exchanged
-        operations — so any consumer's cut is a per-origin-shard
-        prefix vector comparable across replicas, and so the WAL logs
-        where each operation was committed (recovery rebuilds the
-        applied-prefix vector from exactly these coordinates)."""
-        return self._change_coords
+    def _log(self, record: TraceRecord, *, replayed: bool = False) -> None:
+        super()._log(record, replayed=replayed)
+        if record.shard_id == self.shard_id:
+            self.commit_log.append(record)
+
+    def _relog(self, record: WalRecord, *, replayed: bool) -> None:
+        """Trace a WAL record's operation through :meth:`_log`, keeping
+        its logged timestamp and origin coordinate."""
+        self._log(
+            TraceRecord(
+                seq=len(self.trace),
+                timestamp=record.timestamp,
+                worker_id=record.worker_id,
+                message=record.message,
+                shard_id=record.shard_id,
+                lseq=record.lseq,
+            ),
+            replayed=replayed,
+        )
 
     def _broadcast_record(self, record: TraceRecord, exclude: Any) -> None:
-        if isinstance(exclude, _RemoteOrigin):
+        if isinstance(exclude, ShardCommit):
             origin = exclude
             exclude = origin.worker_id
             # Echo-exclusion assumes the origin worker still holds the
             # local apply it made when it performed this operation.
             # That breaks when the worker's copy was since rebased on a
-            # snapshot (crash rejoin, or an outage resync the op-log
+            # snapshot (crash rejoin, or an outage resync the trace
             # could not cover): a commit older than the rebase is in
             # neither the snapshot (this shard is only applying it now)
             # nor the worker's outbox (it was committed, not pending),
             # so this broadcast is the worker's only way to get its own
             # operation back.
             epoch = self._snapshot_epoch.get(exclude)
-            if epoch is not None and origin.commit.timestamp < epoch:
+            if epoch is not None and origin.timestamp < epoch:
                 exclude = None
         super()._broadcast_record(record, exclude)
 
@@ -558,9 +554,7 @@ class ShardServer(BackendServer):
                 continue
             received += 1
             fresh += 1
-            self._pending.append(
-                (_RemoteOrigin(commit.worker_id, commit), message)
-            )
+            self._pending.append((commit, message))
         self._received_from[batch.shard_id] = received
         if obs.enabled:
             obs.inc(f"{self._obs_ns}.exchange_batches_received")
@@ -704,8 +698,6 @@ class ShardServer(BackendServer):
         self.replica = Replica(self.endpoint, self.schema, self.scoring)
         self.replica.table.set_observability(self.obs, scope=self._obs_ns)
         self.trace = []
-        self.oplog = OpLog(self.oplog.capacity)
-        self._seq = 0
         self._clients = []
         self._sessions = {}
         self._snapshot_epoch = {}
@@ -728,10 +720,11 @@ class ShardServer(BackendServer):
     def recover(self) -> int:
         """Restart from durable state: checkpoint + WAL-suffix replay.
 
-        Rebuilds the table, the full trace/op-log, the local commit
-        log, and the per-origin applied-prefix vector; reconstructs the
-        Central Client (primary only) from the checkpointed constraint
-        state; and re-seeds the change stream at the recovered cut.  A
+        Rebuilds the table, the full trace (and with it the local
+        commit log), and the per-origin applied-prefix vector;
+        reconstructs the Central Client (primary only) from the
+        checkpointed constraint state; and re-seeds the change stream
+        at the recovered cut.  A
         torn WAL tail — an unterminated final line — is discarded and
         truncated, exactly like an fsync that never completed.  Replay
         is silent: no broadcasts, no trace listeners, no exchange
@@ -775,33 +768,16 @@ class ShardServer(BackendServer):
                 counts[record.shard_id] = max(
                     counts.get(record.shard_id, 0), record.lseq + 1
                 )
-            trace_record = TraceRecord(
-                seq=self._seq,
-                timestamp=record.timestamp,
-                worker_id=record.worker_id,
-                message=record.message,
-            )
-            self.trace.append(trace_record)
-            self.oplog.append(trace_record)
-            self._seq += 1
-            if record.shard_id == self.shard_id:
-                if record.lseq != len(self.commit_log):
-                    raise WalCorruptionError(
-                        f"{self.endpoint}: WAL lseq {record.lseq} does "
-                        f"not extend the recovered commit log (length "
-                        f"{len(self.commit_log)})"
-                    )
-                self.commit_log.append(
-                    (
-                        ShardCommit(
-                            shard_id=record.shard_id,
-                            lseq=record.lseq,
-                            worker_id=record.worker_id,
-                            timestamp=record.timestamp,
-                        ),
-                        record.message,
-                    )
+            if (
+                record.shard_id == self.shard_id
+                and record.lseq != len(self.commit_log)
+            ):
+                raise WalCorruptionError(
+                    f"{self.endpoint}: WAL lseq {record.lseq} does "
+                    f"not extend the recovered commit log (length "
+                    f"{len(self.commit_log)})"
                 )
+            self._relog(record, replayed=True)
         self._received_from = {
             sid: count
             for sid, count in counts.items()
@@ -917,28 +893,7 @@ class ShardServer(BackendServer):
                 )
             record.message.apply(self.replica.table)
             self.replica.messages_processed += 1
-            trace_record = TraceRecord(
-                seq=self._seq,
-                timestamp=record.timestamp,
-                worker_id=record.worker_id,
-                message=record.message,
-            )
-            self.trace.append(trace_record)
-            self.oplog.append(trace_record)
-            self._seq += 1
-            self.commit_log.append(
-                (
-                    ShardCommit(
-                        shard_id=self.shard_id,
-                        lseq=record.lseq,
-                        worker_id=record.worker_id,
-                        timestamp=record.timestamp,
-                    ),
-                    record.message,
-                )
-            )
-            self._change_coords = (self.shard_id, record.lseq)
-            self._note_change(trace_record)
+            self._relog(record, replayed=False)
             adopted += 1
         return adopted
 
@@ -1250,10 +1205,6 @@ class ShardedBackend:
         return self.primary.trace
 
     @property
-    def oplog(self):
-        return self.primary.oplog
-
-    @property
     def completed(self) -> bool:
         return self.primary.completed
 
@@ -1358,9 +1309,19 @@ class ShardedBackend:
         sequence is equivalent to (by commutativity), used by the
         convergence suite as the single-backend oracle input.
         """
-        merged: list[tuple[ShardCommit, Message]] = []
-        for shard in self.shards:
-            merged.extend(shard.commit_log)
+        merged = [
+            (
+                ShardCommit(
+                    shard_id=record.shard_id,
+                    lseq=record.lseq,
+                    worker_id=record.worker_id,
+                    timestamp=record.timestamp,
+                ),
+                record.message,
+            )
+            for shard in self.shards
+            for record in shard.commit_log
+        ]
         merged.sort(key=lambda entry: (
             entry[0].timestamp, entry[0].shard_id, entry[0].lseq
         ))

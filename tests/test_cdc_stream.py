@@ -22,6 +22,7 @@ from repro.cdc import (
     LeaderboardView,
     SnapshotChunk,
     StreamCursor,
+    StreamUnavailableError,
     change_event_from_dict,
     chunk_from_dict,
     cut_from_dict,
@@ -36,6 +37,7 @@ from repro.core.messages import (
     UpvoteMessage,
 )
 from repro.core.schema import soccer_player_schema
+from repro.durability import DurabilityConfig
 from repro.net import ConstantLatency, Network
 from repro.obs import dump_json
 from repro.server import BackendServer, ShardedBackend
@@ -228,12 +230,17 @@ def test_stream_positions_dense_and_cut_matches_trace():
     assert cut.counts == ((0, len(backend.trace)),)
 
 
-def test_stream_without_subscribers_only_counts():
+def test_stream_without_subscribers_only_counts(monkeypatch):
+    import repro.cdc.subscription as subscription
+
+    def no_events(**_fields):
+        raise AssertionError("a change event was built with no subscriber")
+
+    monkeypatch.setattr(subscription, "ChangeEvent", no_events)
     sim, backend, clients = make_backend()
     drive_some_ops(sim, backend, clients)
     stream = backend.changes
     assert not stream.active
-    assert len(stream._recent) == 0  # no event objects were built
     assert stream.position == len(backend.trace)
 
 
@@ -322,6 +329,82 @@ def test_subscribe_from_stale_cut_is_lost_then_resyncs():
     assert stale.poll() is None
     state, _cut = stale.resync()
     assert dump_json(canonical_state(state)) == capture_doc(backend)
+
+
+def test_subscribe_from_cut_before_first_subscriber_replays():
+    """Replay reads the owner's trace, so a cut taken while nobody was
+    subscribed still resumes inside the retention window."""
+    sim, backend, clients = make_backend()
+    backend.start()
+    sim.run()
+    early_cut = backend.changes.cut()
+    assert not backend.changes.active
+    fill_row(clients[0], clients[0].replica.table.row_ids()[0])
+    sim.run()
+    resumed = backend.subscribe("late", from_cut=early_cut)
+    assert not resumed.lost
+    events = resumed.take()
+    tail = backend.trace[early_cut.position:]
+    assert tail  # the fill really added history after the cut
+    assert [e.position for e in events] == [r.seq for r in tail]
+    assert [(e.shard_id, e.lseq) for e in events] == [
+        (r.shard_id, r.lseq) for r in tail
+    ]
+    assert all(
+        e.message is r.message and e.worker_id == r.worker_id
+        for e, r in zip(events, tail)
+    )
+
+
+def test_subscribe_from_cut_retention_bound():
+    """Exactly ``retention`` positions back still replays; one more is
+    lost."""
+    sim, backend, clients = make_backend(oplog_capacity=4)
+    drive_some_ops(sim, backend, clients)
+    position = backend.changes.position
+    inside = backend.subscribe("inside", from_cut=Cut(position - 4, ()))
+    assert not inside.lost
+    assert [e.position for e in inside.take()] == list(
+        range(position - 4, position)
+    )
+    outside = backend.subscribe("outside", from_cut=Cut(position - 5, ()))
+    assert outside.lost
+    assert outside.poll() is None
+
+
+def test_crashed_owner_refuses_cdc_reads():
+    """Reading a crashed shard would load its wiped replica: resync and
+    chunk reads raise until it recovers, and the leaderboard sampler
+    keeps its standings instead of refreshing."""
+    sim = Simulator()
+    network = Network(sim, streams=RngStreams(0))
+    backend = ShardedBackend(
+        sim, network, soccer_player_schema(), SCORING,
+        Template.cardinality(2), shards=2, durability=DurabilityConfig(),
+    )
+    sub = backend.subscribe("reader")
+    board = LeaderboardView(backend.subscribe("board"))
+    backend.start()
+    sim.run()
+    before = board.sample()
+    primary = backend.primary
+    primary.crash()
+    assert sub.lost
+    with pytest.raises(StreamUnavailableError, match="crashed"):
+        sub.resync()
+    with pytest.raises(StreamUnavailableError, match="crashed"):
+        sub.read_chunk()
+    assert board.sample() == before
+    primary.recover()
+    primary.complete_recovery()
+    assert sub.read_chunk() is not None
+    state, cut = sub.resync()
+    assert dump_json(canonical_state(state)) == capture_doc(backend)
+    assert cut == backend.changes.cut()
+    board.sample()
+    assert dump_json(canonical_state(board.view.state())) == capture_doc(
+        backend
+    )
 
 
 def test_subscribe_from_future_cut_raises():

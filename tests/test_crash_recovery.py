@@ -224,6 +224,34 @@ def _assert_crash_convergence(backend, clients, network):
         assert incremental == scratch
 
     network.check_accounting()
+    _assert_single_log(backend)
+
+
+def _log_key(record):
+    return (
+        record.shard_id,
+        record.lseq,
+        record.worker_id,
+        record.timestamp,
+        record.message.to_dict(),
+    )
+
+
+def _assert_single_log(backend):
+    """Each shard's trace is its one in-memory log: it matches the WAL
+    replay record for record, and the commit log is exactly its
+    local-origin entries (the same objects), in lseq order."""
+    for shard in backend.shards:
+        records, torn = shard.durable.log.replay()
+        assert torn == 0
+        assert [_log_key(r) for r in shard.trace] == [
+            _log_key(r) for r in records
+        ]
+        assert [r.seq for r in shard.trace] == list(range(len(shard.trace)))
+        local = [r for r in shard.trace if r.shard_id == shard.shard_id]
+        assert len(shard.commit_log) == len(local)
+        assert all(a is b for a, b in zip(shard.commit_log, local))
+        assert [r.lseq for r in shard.commit_log] == list(range(len(local)))
 
 
 # -- random crash schedules ---------------------------------------------------
@@ -492,6 +520,23 @@ def test_checkpoint_plus_wal_suffix_recovery():
     assert shard.durable.checkpoints_taken > 0
     assert shard.durable.recoveries == 1
     assert shard.durable.log.records_appended >= len(shard.commit_log)
+    _assert_crash_convergence(backend, clients, network)
+
+
+def test_four_shard_trace_matches_wal_after_seeded_crash():
+    """The single-log property on a 4-shard durable run with a seeded
+    crash: every shard's trace equals its WAL replay and its commit log
+    indexes its own commits (checked by ``_assert_single_log`` inside
+    the convergence assertions)."""
+    plan = _crash_plan(11, 4, [])
+    assert plan.crashes
+    sim, network, backend, clients, injector, names = _build_crash_rig(
+        4, 4, 5, plan, checkpoint_interval=4
+    )
+    _schedule_ops(sim, clients, names, _PINNED_SCHEDULE)
+    _finish(sim, network, injector)
+    assert sum(shard.durable.recoveries for shard in backend.shards) >= 1
+    assert sum(1 for shard in backend.shards if shard.commit_log) >= 2
     _assert_crash_convergence(backend, clients, network)
 
 

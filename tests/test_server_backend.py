@@ -306,21 +306,27 @@ def test_reconnect_while_connected_rejected():
 
 
 def test_oplog_truncation_bound():
-    from repro.server import OpLog
-    from repro.core.messages import TraceRecord, InsertMessage
-
-    log = OpLog(capacity=3)
-    for seq in range(5):
-        log.append(TraceRecord(seq=seq, timestamp=0.0, worker_id="w",
-                               message=InsertMessage(row_id=f"r{seq}")))
-    assert len(log) == 3
-    assert log.first_seq == 2 and log.last_seq == 4
-    assert log.truncated == 2
-    assert not log.covers(1) and log.covers(2)
-    assert log.get(1) is None
-    assert [r.seq for r in log.entries_after(2)] == [3, 4]
-    with pytest.raises(ValueError):
-        OpLog(capacity=0)
+    """Resync retains exactly the newest ``oplog_capacity`` trace
+    records: a gap of that many replays incrementally, one more forces
+    a snapshot."""
+    fills = [("name", "Messi"), ("nationality", "Argentina"),
+             ("position", "FW"), ("caps", 83)]
+    for applied, kind in ((3, "incremental"), (4, "snapshot")):
+        sim, _, backend, clients = make_system(num_clients=2,
+                                               oplog_capacity=3)
+        backend.detach_client("w1")
+        clients[1].disconnect()
+        before = len(backend.trace)
+        row_id = clients[0].replica.table.row_ids()[0]
+        for column, value in fills[:applied]:
+            row_id = clients[0].fill(row_id, column, value)
+            sim.run()
+        assert len(backend.trace) - before == applied
+        assert clients[1].reconnect(backend) == kind
+        sim.run()
+        assert clients[1].snapshot() == backend.replica.snapshot()
+    with pytest.raises(ValueError, match="capacity"):
+        make_system(oplog_capacity=0)
 
 
 def test_current_template_reflects_drops():

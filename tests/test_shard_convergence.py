@@ -502,11 +502,12 @@ def test_exchange_codec_round_trips_and_compresses():
     from repro.server.shard import ShardCommit
 
     messages = _scripted_messages()
-    entries = [
-        (ShardCommit(2, 7 + i, f"w{i % 2}", 1.5 + i), m)
+    records = [
+        TraceRecord(seq=i, timestamp=1.5 + i, worker_id=f"w{i % 2}",
+                    message=m, shard_id=2, lseq=7 + i)
         for i, m in enumerate(messages)
     ]
-    batch = encode_exchange(2, 7, entries)
+    batch = encode_exchange(2, 7, records)
     assert batch.shard_id == 2
     assert batch.first_lseq == 7
     assert len(batch) == len(messages)
@@ -516,9 +517,11 @@ def test_exchange_codec_round_trips_and_compresses():
     assert len(batch.workers) == 2
     decoded = decode_exchange(batch)
     assert [m for _, m in decoded] == messages
-    assert [c for c, _ in decoded] == [c for c, _ in entries]
+    assert [c for c, _ in decoded] == [
+        ShardCommit(2, r.lseq, r.worker_id, r.timestamp) for r in records
+    ]
     # Decoding builds fresh value objects — no aliasing with the batch.
-    original_value = entries[3][1].value
+    original_value = records[3].message.value
     decoded_value = decoded[3][1].value
     assert decoded_value == original_value
     assert decoded_value is not original_value
@@ -527,8 +530,6 @@ def test_exchange_codec_round_trips_and_compresses():
 def test_exchange_gap_raises_and_duplicates_skip():
     """A receiver tolerates duplicate prefixes (conservative resync)
     but treats a gap in a peer's stream as a protocol violation."""
-    from repro.server.shard import ShardCommit
-
     sim = Simulator()
     network = Network(sim, streams=RngStreams(0))
     backend = ShardedBackend(
@@ -538,10 +539,12 @@ def test_exchange_gap_raises_and_duplicates_skip():
     sim.run()
     receiver = backend.shards[0]
     messages = _scripted_messages()[:2]
-    entries = [
-        (ShardCommit(1, i, "w0", 1.0 + i), m) for i, m in enumerate(messages)
+    records = [
+        TraceRecord(seq=i, timestamp=1.0 + i, worker_id="w0", message=m,
+                    shard_id=1, lseq=i)
+        for i, m in enumerate(messages)
     ]
-    batch = encode_exchange(1, 0, entries)
+    batch = encode_exchange(1, 0, records)
     receiver._receive_exchange(batch)
     sim.run()
     assert receiver.received_from(1) == 2
@@ -551,7 +554,10 @@ def test_exchange_gap_raises_and_duplicates_skip():
     assert receiver.received_from(1) == 2
     assert receiver.exchange_dup_ops == 2
     # A batch starting past the applied prefix is a gap.
-    gap = encode_exchange(1, 5, [(ShardCommit(1, 5, "w0", 9.0), messages[0])])
+    gap = encode_exchange(1, 5, [
+        TraceRecord(seq=0, timestamp=9.0, worker_id="w0",
+                    message=messages[0], shard_id=1, lseq=5)
+    ])
     with pytest.raises(ShardExchangeError):
         receiver._receive_exchange(gap)
 
