@@ -29,8 +29,7 @@ summaries) with two rule layers:
 
 Infrastructure: a committed-baseline suppression file
 (:mod:`repro.analysis.baseline` — new findings fail, legacy findings
-are tracked and burned down), a file-hash result cache
-(:mod:`repro.analysis.cache`), and SARIF 2.1.0 output
+are tracked and burned down) and SARIF 2.1.0 output
 (:mod:`repro.analysis.sarif`) alongside the text/JSON reports.
 
 Suppress a finding with a line-scoped ``# crowdlint: disable=<rule>``
@@ -41,7 +40,6 @@ repro.analysis`` (``--rules`` prints the rule reference).
 """
 
 from repro.analysis.baseline import Baseline, BaselineResult
-from repro.analysis.cache import ResultCache
 from repro.analysis.diagnostics import Diagnostic, disabled_rules
 from repro.analysis.escapes import SendSite, analyze_escapes
 from repro.analysis.exhaustiveness import (
@@ -67,7 +65,6 @@ __all__ = [
     "Diagnostic",
     "ExhaustivenessConfig",
     "Project",
-    "ResultCache",
     "SendSite",
     "analyze_escapes",
     "check_exhaustiveness",

@@ -6,7 +6,7 @@ Usage::
         [--format text|json] [--select RULE[,RULE]]
         [--strict | --warn-only] [--no-exhaustiveness]
         [--baseline PATH | --no-baseline] [--write-baseline]
-        [--sarif [PATH]] [--cache PATH] [--verify-cache]
+        [--sarif [PATH]]
         [--escape-report] [--rules]
 
 With no paths, lints ``src/repro`` when it exists (repo root), else the
@@ -17,9 +17,7 @@ Gating: findings **not covered by the committed baseline**
 1; ``--warn-only`` reports without failing, ``--strict`` is the
 explicit CI gate (and also surfaces stale baseline entries as
 burn-down notes).  ``--write-baseline`` accepts the current findings
-as legacy debt.  ``--verify-cache`` re-analyzes from scratch and exits
-2 if the warm cached run disagrees — a stale-cache bug can never
-launder findings.
+as legacy debt.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.baseline import BASELINE_NAME, Baseline
-from repro.analysis.cache import ResultCache
 from repro.analysis.linter import (
     ALL_RULES,
     escape_report,
@@ -102,15 +99,6 @@ def main(argv: Sequence[str] | None = None) -> int:
              "crowdlint.sarif)",
     )
     parser.add_argument(
-        "--cache", type=Path, default=None, metavar="PATH",
-        help="file-hash result cache to read/update",
-    )
-    parser.add_argument(
-        "--verify-cache", action="store_true",
-        help="after the cached run, re-analyze fresh and exit 2 on any "
-             "disagreement (requires --cache)",
-    )
-    parser.add_argument(
         "--escape-report", action="store_true",
         help="print the ESC001 send-site classification (proven / "
              "unknown / flagged) and exit",
@@ -127,8 +115,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.warn_only and args.strict:
         parser.error("--warn-only and --strict are mutually exclusive")
-    if args.verify_cache and args.cache is None:
-        parser.error("--verify-cache requires --cache")
 
     paths = args.paths
     if not paths:
@@ -157,31 +143,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rule(s): {', '.join(sorted(unknown))}")
 
-    cache = ResultCache(args.cache) if args.cache is not None else None
     diagnostics = lint_paths(
-        paths, select=select, exhaustiveness=not args.no_exhaustiveness,
-        cache=cache,
+        paths, select=select, exhaustiveness=not args.no_exhaustiveness
     )
-    if cache is not None:
-        cache.save()
-
-    if args.verify_cache:
-        fresh = lint_paths(
-            paths, select=select, exhaustiveness=not args.no_exhaustiveness
-        )
-        if fresh != diagnostics:
-            cached_set = {d.format() for d in diagnostics}
-            fresh_set = {d.format() for d in fresh}
-            for line in sorted(fresh_set - cached_set):
-                print(f"crowdlint[cache]: missing from cached run: {line}")
-            for line in sorted(cached_set - fresh_set):
-                print(f"crowdlint[cache]: stale in cached run: {line}")
-            print(
-                "crowdlint: cache inconsistency — cached and fresh runs "
-                "disagree; delete the cache file"
-            )
-            return 2
-        print("crowdlint: cache verified (fresh re-analysis agrees)")
 
     # Baseline handling.
     root = Path.cwd()

@@ -15,11 +15,7 @@ crowdlint 2.0 runs in two layers:
 Both layers respect line-scoped pragmas; project-pass diagnostics are
 filtered against the *flagged file's* source lines exactly like
 per-file ones.  Results are stably ordered by
-``(path, line, col, rule)``.  An optional
-:class:`~repro.analysis.cache.ResultCache` keyed on content hashes
-skips re-analysis of unchanged trees (per-file results on the file's
-own hash, project-pass results on the combined hash of every file in
-the run).
+``(path, line, col, rule)``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import ast
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.cache import ResultCache, combined_sha, file_sha
 from repro.analysis.commutativity import (
     RULE_ORDER as COMM_ORDER_RULE,
     RULE_SHARED as COMM_SHARED_RULE,
@@ -236,39 +231,13 @@ def lint_paths(
     paths: Sequence[Path],
     select: frozenset[str] | None = None,
     exhaustiveness: bool = True,
-    cache: ResultCache | None = None,
 ) -> list[Diagnostic]:
     """Lint every Python file under *paths*: per-file rules plus the
-    project-wide passes.  With a *cache*, unchanged files (and an
-    unchanged tree, for the project passes) reuse stored results."""
+    project-wide passes."""
     files = iter_python_files(paths)
     diagnostics: list[Diagnostic] = []
-    shas: dict[str, str] = {}
     for path in files:
-        sha = file_sha(path) if cache is not None else None
-        if sha is not None:
-            shas[path.as_posix()] = sha
-            cached = cache.get_file(path, sha)
-            if cached is not None:
-                diagnostics.extend(cached)
-                continue
-        result = lint_file(path, select)
-        diagnostics.extend(result)
-        if cache is not None and sha is not None:
-            cache.put_file(path, sha, result)
-
-    if cache is not None:
-        tree_sha = combined_sha(shas) + (
-            "" if select is None else ":" + ",".join(sorted(select))
-        ) + ("" if exhaustiveness else ":noexh")
-        cached_project = cache.get_project(tree_sha)
-        if cached_project is None:
-            cached_project = project_passes(files, paths, select, exhaustiveness)
-            cache.put_project(tree_sha, cached_project)
-        diagnostics.extend(cached_project)
-        cache.prune(set(shas))
-    else:
-        diagnostics.extend(project_passes(files, paths, select, exhaustiveness))
-
+        diagnostics.extend(lint_file(path, select))
+    diagnostics.extend(project_passes(files, paths, select, exhaustiveness))
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
     return diagnostics

@@ -145,6 +145,14 @@ class ExperimentConfig:
     """WAL records between checkpoints when durability is on; ``None``
     uses the :class:`~repro.durability.DurabilityConfig` default."""
 
+    def __post_init__(self) -> None:
+        if self.num_workers < 1:
+            raise ValueError(
+                f"num_workers must be >= 1, got {self.num_workers}"
+            )
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
+
     def resolved_profiles(self) -> list[WorkerProfile]:
         """The crew's profiles, defaulting to the representative five."""
         if self.profiles is not None:

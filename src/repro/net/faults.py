@@ -465,13 +465,57 @@ class FaultPlan:
         )
 
 
+#: The keys :meth:`FaultPlan.to_dict` writes: each window kind, and the
+#: keys of one window of that kind.
+_WINDOW_KEYS = {
+    "disconnects": frozenset({"endpoint", "start", "end"}),
+    "partitions": frozenset({"endpoints", "start", "end"}),
+    "spikes": frozenset({"start", "end", "factor", "source", "destination"}),
+    "shard_partitions": frozenset({"groups", "start", "end"}),
+    "crashes": frozenset({"endpoint", "start", "end"}),
+}
+
+
 def fault_plan_from_dict(data: dict) -> FaultPlan:
     """Rebuild a :class:`FaultPlan` from :meth:`FaultPlan.to_dict` output.
 
-    ``null`` window ends map back to ``math.inf``.  Malformed windows
-    raise :class:`FaultPlanError` through the dataclass validators, so
-    a hand-written ``plan.json`` fails loudly at load time.
+    ``null`` window ends map back to ``math.inf``.  A hand-written
+    ``plan.json`` fails loudly at load time: a document that is not an
+    object, an unknown window kind or an unknown key inside a window
+    (a typo would otherwise silently drop the window, or turn a
+    misspelled ``end`` into a permanent outage) raise
+    :class:`FaultPlanError`, and so do malformed windows, through the
+    dataclass validators.
     """
+    if not isinstance(data, dict):
+        raise FaultPlanError(
+            f"a fault plan must be a JSON object, got {type(data).__name__}"
+        )
+    unknown = sorted(set(data) - set(_WINDOW_KEYS))
+    if unknown:
+        raise FaultPlanError(
+            f"unknown fault-plan key(s) {', '.join(map(repr, unknown))}; "
+            f"expected any of {', '.join(map(repr, _WINDOW_KEYS))}"
+        )
+    for kind, allowed in _WINDOW_KEYS.items():
+        windows = data.get(kind, ())
+        if not isinstance(windows, (list, tuple)):
+            raise FaultPlanError(
+                f"{kind!r} must be a list of windows, "
+                f"got {type(windows).__name__}"
+            )
+        for window in windows:
+            if not isinstance(window, dict):
+                raise FaultPlanError(
+                    f"a {kind!r} window must be an object, got {window!r}"
+                )
+            extra = sorted(set(window) - allowed)
+            if extra:
+                raise FaultPlanError(
+                    f"unknown key(s) {', '.join(map(repr, extra))} in "
+                    f"{kind!r} window {window!r}; expected any of "
+                    f"{', '.join(map(repr, sorted(allowed)))}"
+                )
 
     def end_part(value: float | None) -> float:
         return math.inf if value is None else float(value)

@@ -1,6 +1,5 @@
-"""crowdlint 2.0 infrastructure: the committed-baseline ledger, the
-file-hash result cache (including the CI ``--verify-cache`` gate),
-SARIF rendering, pragma validation, and the new CLI surface."""
+"""crowdlint 2.0 infrastructure: the committed-baseline ledger, SARIF
+rendering, pragma validation, and the new CLI surface."""
 
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import pytest
 from repro.analysis import (
     Baseline,
     Diagnostic,
-    ResultCache,
     lint_file,
     lint_paths,
     render_sarif,
@@ -122,82 +120,6 @@ class TestBaseline:
         baseline.write_text("{broken")
         assert main([str(tmp_path), "--baseline", str(baseline)]) == 2
         assert "malformed baseline" in capsys.readouterr().out
-
-
-# -- result cache -------------------------------------------------------------
-
-
-class TestResultCache:
-    def test_second_run_hits_and_agrees(self, tmp_path):
-        write(tmp_path, "bad.py", BAD)
-        cache_path = tmp_path / "cache.json"
-        first_cache = ResultCache(cache_path)
-        first = lint_paths([tmp_path], cache=first_cache)
-        first_cache.save()
-
-        warm = ResultCache(cache_path)
-        second = lint_paths([tmp_path], cache=warm)
-        assert second == first
-        assert warm.hits >= 2  # the file entry and the project entry
-        assert warm.misses == 0
-
-    def test_edit_invalidates_file_and_project_entries(self, tmp_path):
-        bad = write(tmp_path, "bad.py", BAD)
-        cache_path = tmp_path / "cache.json"
-        cache = ResultCache(cache_path)
-        lint_paths([tmp_path], cache=cache)
-        cache.save()
-
-        bad.write_text(CLEAN)
-        warm = ResultCache(cache_path)
-        diags = lint_paths([tmp_path], cache=warm)
-        assert diags == []
-        assert warm.misses >= 2  # content hash changed everywhere
-
-    def test_prune_drops_deleted_files(self, tmp_path):
-        bad = write(tmp_path, "bad.py", BAD)
-        write(tmp_path, "ok.py", CLEAN)
-        cache = ResultCache(tmp_path / "cache.json")
-        lint_paths([tmp_path], cache=cache)
-        bad.unlink()
-        lint_paths([tmp_path], cache=cache)
-        cache.save()
-        stored = json.loads((tmp_path / "cache.json").read_text())
-        assert [Path(p).name for p in stored["files"]] == ["ok.py"]
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{definitely not json")
-        write(tmp_path, "bad.py", BAD)
-        diags = lint_paths([tmp_path], cache=ResultCache(cache_path))
-        assert [d.rule for d in diags] == ["MUT001"]
-
-    def test_cli_verify_cache_passes_on_honest_cache(self, tmp_path, capsys):
-        write(tmp_path, "ok.py", CLEAN)
-        cache = tmp_path / "cache.json"
-        args = [str(tmp_path), "--no-baseline", "--cache", str(cache)]
-        assert main(args) == 0
-        assert main(args + ["--verify-cache"]) == 0
-        assert "cache verified" in capsys.readouterr().out
-
-    def test_cli_verify_cache_detects_poisoned_cache(self, tmp_path, capsys):
-        write(tmp_path, "bad.py", BAD)
-        cache_path = tmp_path / "cache.json"
-        args = [str(tmp_path), "--no-baseline", "--cache", str(cache_path)]
-        main(args)
-        # Poison the cache: same hash, laundered (empty) diagnostics.
-        stored = json.loads(cache_path.read_text())
-        for entry in stored["files"].values():
-            entry["diags"] = []
-        cache_path.write_text(json.dumps(stored))
-        assert main(args + ["--verify-cache"]) == 2
-        out = capsys.readouterr().out
-        assert "missing from cached run" in out
-        assert "cache inconsistency" in out
-
-    def test_cli_verify_cache_requires_cache(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([str(tmp_path), "--verify-cache"])
 
 
 # -- SARIF --------------------------------------------------------------------

@@ -183,6 +183,17 @@ class TestConfigKnobs:
         result = CrowdFillExperiment(config).run()
         assert len(result.workers) == 7
 
+    @pytest.mark.parametrize("num_workers", [0, -3])
+    def test_worker_count_below_one_rejected_at_construction(
+        self, num_workers
+    ):
+        with pytest.raises(ValueError, match="num_workers must be >= 1"):
+            ExperimentConfig(num_workers=num_workers)
+
+    def test_negative_budget_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            ExperimentConfig(budget=-5.0)
+
 
 class TestPredicatesConstraintCollection:
     def test_section6_task_as_predicates_constraint(self):

@@ -312,6 +312,42 @@ def test_fault_plan_from_dict_rejects_malformed_windows():
         )
 
 
+def test_fault_plan_from_dict_rejects_unknown_top_level_key():
+    # A misspelled window kind used to load as an empty plan.
+    with pytest.raises(FaultPlanError, match="'crash'"):
+        fault_plan_from_dict(
+            {"crash": [{"endpoint": "s0", "start": 1.0, "end": 2.0}]}
+        )
+
+
+@pytest.mark.parametrize("kind,window,typo", [
+    # "ned" for "end" used to load as a permanent outage.
+    ("disconnects", {"endpoint": "a", "start": 1.0, "ned": 3.0}, "ned"),
+    ("partitions", {"endpoints": ["a"], "start": 1.0, "ned": 3.0}, "ned"),
+    ("spikes", {"start": 1.0, "end": 2.0, "factor": 2.0, "dest": "a"},
+     "dest"),
+    ("shard_partitions",
+     {"groups": [["s0"], ["s1"]], "start": 1.0, "ned": 3.0}, "ned"),
+    ("crashes", {"endpoint": "s0", "start": 1.0, "end": 2.0, "ned": 3.0},
+     "ned"),
+])
+def test_fault_plan_from_dict_rejects_unknown_window_key(kind, window, typo):
+    with pytest.raises(FaultPlanError, match=f"'{typo}'"):
+        fault_plan_from_dict({kind: [window]})
+
+
+@pytest.mark.parametrize("document", [
+    [],
+    "plan",
+    None,
+    {"crashes": {"endpoint": "s0", "start": 1.0, "end": 2.0}},
+    {"disconnects": ["a"]},
+])
+def test_fault_plan_from_dict_rejects_non_objects(document):
+    with pytest.raises(FaultPlanError):
+        fault_plan_from_dict(document)
+
+
 # -- Crash windows (injector layer) ------------------------------------------
 
 

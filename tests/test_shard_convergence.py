@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,15 @@ from repro.constraints.probable import (
     probable_rows,
     probable_rows_from_scratch,
 )
-from repro.core import Column, DataType, OperationError, Schema, SchemaError
-from repro.core.messages import TraceRecord
+from repro.core import (
+    Column,
+    DataType,
+    OperationError,
+    RowValue,
+    Schema,
+    SchemaError,
+)
+from repro.core.messages import InsertMessage, ReplaceMessage, TraceRecord
 from repro.core.scoring import ThresholdScoring
 from repro.net import (
     FaultInjector,
@@ -605,3 +613,55 @@ def test_home_shard_assignment_is_stable_and_spread():
         name: backend.home_shard(name).shard_id for name in homes
     }
     assert len(set(homes.values())) > 1
+
+
+class _Sink:
+    """A replica-free client endpoint that only counts what it receives."""
+
+    __slots__ = ("received",)
+
+    def __init__(self) -> None:
+        self.received = 0
+
+    def on_message(self, source, payload) -> None:
+        self.received += 1
+
+
+def test_two_thousand_sinks_converge_on_four_shards():
+    """Thousands of attached workers on the 4-shard backend: 20 authors
+    each insert a row and fill its key through ``ingest``, and every
+    committed op reaches each of the 2000 endpoints that did not author
+    it before quiescence."""
+    sim = Simulator()
+    network = Network(sim, streams=RngStreams(0))
+    backend = ShardedBackend(
+        sim, network, SCHEMA, SCORING, Template.cardinality(4), shards=4
+    )
+    sinks = []
+    for i in range(2000):
+        sink = _Sink()
+        network.register(f"w{i}", sink)
+        backend.attach_client(f"w{i}")
+        sinks.append(sink)
+    backend.start()
+    sim.run()
+    for i in range(20):
+        row_id = f"w{i}#1"
+        backend.ingest(f"w{i}", [
+            InsertMessage(row_id=row_id),
+            ReplaceMessage(
+                old_id=row_id, new_id=f"w{i}#2",
+                value=RowValue({"k": f"key{i}"}),
+                column="k", filled_value=f"key{i}",
+            ),
+        ])
+    sim.run()
+    assert network.quiescent()
+    assert backend.fully_exchanged()
+    authored = Counter(
+        commit.worker_id for commit, _ in backend.committed_trace()
+    )
+    assert sum(authored[f"w{i}"] for i in range(20)) == 40
+    committed = sum(authored.values())
+    for i, sink in enumerate(sinks):
+        assert sink.received >= committed - authored[f"w{i}"]
