@@ -27,19 +27,14 @@ summaries) with two rule layers:
   message-type exhaustiveness across the replicated stack including
   the shard layer (:mod:`repro.analysis.exhaustiveness`).
 
-Infrastructure: a committed-baseline suppression file
-(:mod:`repro.analysis.baseline` — new findings fail, legacy findings
-are tracked and burned down) and SARIF 2.1.0 output
-(:mod:`repro.analysis.sarif`) alongside the text/JSON reports.
+Reports: text, JSON and SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
+Any finding fails the run.
 
 Suppress a finding with a line-scoped ``# crowdlint: disable=<rule>``
-comment (unknown rule names in a pragma warn as ``PRAGMA``).  The
-runtime complement to this static pass is the replica-aliasing
-sanitizer in :mod:`repro.net.sanitizer`.  CLI: ``python -m
-repro.analysis`` (``--rules`` prints the rule reference).
+comment (unknown rule names in a pragma warn as ``PRAGMA``).  CLI:
+``python -m repro.analysis`` (``--rules`` prints the rule reference).
 """
 
-from repro.analysis.baseline import Baseline, BaselineResult
 from repro.analysis.diagnostics import Diagnostic, disabled_rules
 from repro.analysis.escapes import SendSite, analyze_escapes
 from repro.analysis.exhaustiveness import (
@@ -60,8 +55,6 @@ from repro.analysis.sarif import render_sarif
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineResult",
     "Diagnostic",
     "ExhaustivenessConfig",
     "Project",

@@ -4,20 +4,15 @@ Usage::
 
     python -m repro.analysis [paths ...]
         [--format text|json] [--select RULE[,RULE]]
-        [--strict | --warn-only] [--no-exhaustiveness]
-        [--baseline PATH | --no-baseline] [--write-baseline]
-        [--sarif [PATH]]
+        [--warn-only] [--no-exhaustiveness] [--sarif [PATH]]
         [--escape-report] [--rules]
 
 With no paths, lints ``src/repro`` when it exists (repo root), else the
 current directory.
 
-Gating: findings **not covered by the committed baseline**
-(``crowdlint-baseline.json``, applied automatically when present) exit
-1; ``--warn-only`` reports without failing, ``--strict`` is the
-explicit CI gate (and also surfaces stale baseline entries as
-burn-down notes).  ``--write-baseline`` accepts the current findings
-as legacy debt.
+Gating: any finding exits 1; ``--warn-only`` reports without failing.
+Suppress a single finding with a line-scoped
+``# crowdlint: disable=<rule>`` pragma.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import textwrap
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import BASELINE_NAME, Baseline
 from repro.analysis.linter import (
     ALL_RULES,
     escape_report,
@@ -72,25 +66,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="report violations but exit 0 (advisory pass)",
     )
     parser.add_argument(
-        "--strict", action="store_true",
-        help="fail on any non-baseline finding and report stale baseline "
-             "entries (the CI gate; failing is also the default)",
-    )
-    parser.add_argument(
         "--no-exhaustiveness", action="store_true",
         help="skip the project-level EXH001 message-coverage check",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help=f"baseline file (default: ./{BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--sarif", nargs="?", type=Path, const=Path("crowdlint.sarif"),
@@ -113,8 +90,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.rules:
         _print_rules()
         return 0
-    if args.warn_only and args.strict:
-        parser.error("--warn-only and --strict are mutually exclusive")
 
     paths = args.paths
     if not paths:
@@ -147,57 +122,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         paths, select=select, exhaustiveness=not args.no_exhaustiveness
     )
 
-    # Baseline handling.
-    root = Path.cwd()
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        candidate = root / BASELINE_NAME
-        baseline_path = candidate if candidate.is_file() else None
-
-    if args.write_baseline:
-        target = args.baseline or (root / BASELINE_NAME)
-        Baseline.from_diagnostics(diagnostics, root=root).save(target)
-        print(
-            f"crowdlint: wrote baseline with {len(diagnostics)} "
-            f"finding{'s' if len(diagnostics) != 1 else ''} to {target}"
-        )
-        return 0
-
-    suppressed = []
-    stale = []
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            result = Baseline.load(baseline_path).apply(diagnostics, root=root)
-        except ValueError as exc:
-            print(f"crowdlint: {exc}")
-            return 2
-        diagnostics, suppressed, stale = (
-            result.new, result.suppressed, result.stale
-        )
-
     files_checked = len(iter_python_files(paths))
     if args.format == "json":
         print(render_json(diagnostics, files_checked))
     else:
         print(render_text(diagnostics, files_checked))
-        if suppressed:
-            print(
-                f"crowdlint: {len(suppressed)} baselined finding"
-                f"{'s' if len(suppressed) != 1 else ''} suppressed "
-                f"(burn-down: {baseline_path})"
-            )
-        if stale and args.strict:
-            for rule, path, message in stale:
-                print(
-                    f"crowdlint[stale-baseline]: {rule} {path}: {message} "
-                    "— no longer observed; remove from the baseline"
-                )
 
     if args.sarif is not None:
         args.sarif.write_text(
-            render_sarif(
-                diagnostics, rule_docs(), root=root, suppressed=suppressed
-            ),
+            render_sarif(diagnostics, rule_docs(), root=Path.cwd()),
             encoding="utf-8",
         )
         print(f"crowdlint: SARIF report written to {args.sarif}")

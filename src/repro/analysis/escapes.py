@@ -1,24 +1,23 @@
 """ESC001 — aliasing escapes at network send sites.
 
-The runtime replica-aliasing sanitizer (``repro.net.sanitizer``)
-fingerprints payloads and deep-freezes them to catch a replica handing
-out references to its own mutable state.  This pass is the static
-complement: for every call site that hands a payload to
-``Network.send``/``Network.broadcast`` it tries to *prove* the payload
-deeply immutable from annotations and local dataflow, and classifies
-the site:
+The network delivers payloads by reference, so a replica that sends
+a reference to its own mutable state would share live state with the
+receiver.  This pass is the guard against that: for every call site
+that hands a payload to ``Network.send``/``Network.broadcast`` it tries
+to *prove* the payload deeply immutable from annotations and local
+dataflow, and classifies the site:
 
 - ``proven`` — every type the payload can take is deeply immutable
   (builtin scalars, tuples/frozensets of immutables, frozen dataclasses
   whose fields are immutable, or classes that are externally immutable
-  by convention like ``RowValue``).  A later perf PR may skip the
-  defensive sanitizer/deepcopy at these sites.
+  by convention like ``RowValue``).
 - ``flagged`` — the payload demonstrably aliases mutable replica/table
   state (a ``self``/parameter attribute of mutable container type sent
   without a rebuild); ``ESC001`` fires.
-- ``unknown`` — neither proof succeeded; the runtime sanitizer remains
-  the only line of defense.  Not a finding, but reported so the proven
-  set's coverage is visible.
+- ``unknown`` — neither proof succeeded.  Not a finding, but reported
+  so the proven set's coverage is visible; the test suite requires
+  every ``src/repro`` send site to be ``proven``, so an ``unknown``
+  site there fails it.
 
 The prover is conservative: *proven* requires an explicit immutable
 type for every possible binding of the payload; anything unresolved is
@@ -47,9 +46,9 @@ DOCS = {
         "Aliasing escape at a network send site: the payload handed to "
         "Network.send/broadcast retains a reference to mutable replica or "
         "table state, so the receiver would share live state with the "
-        "sender. The static complement to the runtime replica-aliasing "
-        "sanitizer; sites whose payload type is proven deeply immutable "
-        "are reported alias-free (see --escape-report)."
+        "sender. Sites whose payload type is proven deeply immutable are "
+        "reported alias-free (see --escape-report); the test suite "
+        "requires every src/repro send site to be proven."
     ),
 }
 
@@ -384,7 +383,7 @@ def analyze_escapes(
         module = project.modules[module_name]
         # The network layer itself forwards payloads it received; its
         # internal re-sends are not escape points of replica state.
-        if module.name.rsplit(".", 1)[-1] in {"network", "sanitizer"}:
+        if module.name.rsplit(".", 1)[-1] == "network":
             continue
         for func, owner in _functions_of(module):
             summary = summarize_function(func)

@@ -7,10 +7,6 @@ so the GitHub code-scanning UI shows the rationale next to each
 annotation.  Results are emitted in the analyzer's stable
 ``(path, line, col, rule)`` order and file URIs are repo-relative,
 so the report is byte-stable for identical trees.
-
-Baseline-suppressed findings are included with a ``suppressions``
-entry (kind ``external``) rather than dropped: code scanning then
-shows the full debt while only new findings gate.
 """
 
 from __future__ import annotations
@@ -41,10 +37,9 @@ def render_sarif(
     diagnostics: list[Diagnostic],
     rule_docs: dict[str, str],
     root: Path | None = None,
-    suppressed: list[Diagnostic] | None = None,
 ) -> str:
-    """Serialize *diagnostics* (plus baseline-*suppressed* ones) as a
-    SARIF 2.1.0 log.  *rule_docs* maps rule id -> docstring."""
+    """Serialize *diagnostics* as a SARIF 2.1.0 log.  *rule_docs* maps
+    rule id -> docstring."""
     rules = []
     for rule_id in sorted(rule_docs):
         doc = (rule_docs[rule_id] or "").strip()
@@ -58,7 +53,7 @@ def render_sarif(
         )
     rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
 
-    def result(diagnostic: Diagnostic, is_suppressed: bool) -> dict:
+    def result(diagnostic: Diagnostic) -> dict:
         entry: dict = {
             "ruleId": diagnostic.rule,
             "level": "error",
@@ -79,18 +74,11 @@ def render_sarif(
         }
         if diagnostic.rule in rule_index:
             entry["ruleIndex"] = rule_index[diagnostic.rule]
-        if is_suppressed:
-            entry["suppressions"] = [
-                {"kind": "external", "justification": "committed baseline"}
-            ]
         return entry
 
-    combined = [(d, False) for d in diagnostics] + [
-        (d, True) for d in (suppressed or [])
-    ]
-    combined.sort(key=lambda item: (
-        item[0].path, item[0].line, item[0].col, item[0].rule
-    ))
+    ordered = sorted(
+        diagnostics, key=lambda d: (d.path, d.line, d.col, d.rule)
+    )
     log = {
         "$schema": _SCHEMA,
         "version": _SARIF_VERSION,
@@ -105,9 +93,7 @@ def render_sarif(
                         "rules": rules,
                     }
                 },
-                "results": [
-                    result(diagnostic, flag) for diagnostic, flag in combined
-                ],
+                "results": [result(diagnostic) for diagnostic in ordered],
             }
         ],
     }

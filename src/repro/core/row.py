@@ -25,7 +25,7 @@ from typing import Any, Callable, ItemsView, Iterator, Mapping
 #: carry per cell) is one of these, which is what makes messages and
 #: exchange batches *provably* deeply immutable — the static aliasing
 #: pass (crowdlint ESC001) proves send payloads alias-free from this
-#: alias, and the runtime sanitizer's deep-freeze relies on it too.
+#: alias.
 CellValue = str | int | float | bool | None
 
 

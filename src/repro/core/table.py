@@ -130,8 +130,6 @@ class CandidateTable:
         self._all_columns = schema.column_names
 
         # -- secondary indexes over the rows ------------------------------
-        self._seq = itertools.count()
-        self._row_seq: dict[str, int] = {}          # insertion order
         self._by_value: dict[int, set[str]] = {}    # value id -> row ids
         self._by_cell: dict[int, set[str]] = {}     # cell id -> row ids
         self._by_key: dict[tuple, set[str]] = {}
@@ -215,17 +213,17 @@ class CandidateTable:
         return list(self._rows)
 
     def rows_with_value(self, value: RowValue) -> list[Row]:
-        """Rows whose value equals *value* exactly (index lookup)."""
+        """Rows whose value equals *value* exactly, in row-id order."""
         vid = self._interner.id_of(value)
         ids = self._by_value.get(vid) if vid is not None else None
         if not ids:
             return []
-        return [self._rows[i] for i in sorted(ids, key=self._row_seq.__getitem__)]
+        return [self._rows[i] for i in sorted(ids)]
 
     def rows_subsuming(self, value: RowValue) -> list[Row]:
-        """Rows whose value is equal to or a superset of *value*."""
+        """Rows whose value equals or subsumes *value*, in row-id order."""
         ids = self._subsuming_ids(value)
-        return [self._rows[i] for i in sorted(ids, key=self._row_seq.__getitem__)]
+        return [self._rows[i] for i in sorted(ids)]
 
     def _subsuming_ids(self, value: RowValue) -> list[str]:
         return self._subsuming_ids_vid(self._interner.intern(value))
@@ -256,11 +254,11 @@ class CandidateTable:
         return [i for i in smallest if cell_set(vid_of[i]) >= qset]
 
     def rows_in_group(self, key: tuple) -> list[Row]:
-        """Rows whose primary key equals *key* (index lookup)."""
+        """Rows whose primary key equals *key*, in row-id order."""
         ids = self._by_key.get(key)
         if not ids:
             return []
-        return [self._rows[i] for i in sorted(ids, key=self._row_seq.__getitem__)]
+        return [self._rows[i] for i in sorted(ids)]
 
     def group_has_positive_score(self, key: tuple) -> bool:
         """Does any row with primary key *key* have a positive score?"""
@@ -314,7 +312,6 @@ class CandidateTable:
 
     def _index_row(self, row: Row, vid: int | None = None) -> None:
         row_id = row.row_id
-        self._row_seq[row_id] = next(self._seq)
         if vid is None:
             vid = self._interner.intern(row.value)
         self._vid_of_row[row_id] = vid
@@ -334,7 +331,6 @@ class CandidateTable:
     def _deindex_row(self, row: Row) -> None:
         row_id = row.row_id
         row._observer = None
-        del self._row_seq[row_id]
         self._score_cache.pop(row_id, None)
         vid = self._vid_of_row.pop(row_id)
         ids = self._by_value.get(vid)

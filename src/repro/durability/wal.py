@@ -29,8 +29,8 @@ no terminator are a *torn tail* — a record the crash interrupted
 mid-write, never acknowledged, silently discarded by
 :meth:`DurableLog.replay`.  Decoding builds fresh message objects via
 :func:`~repro.core.messages.message_from_dict`, so a recovered replica
-never aliases the bytes (or objects) it logged — the replica-aliasing
-sanitizer holds by construction.
+never aliases the bytes (or objects) it logged: no replica shares
+state with the log.
 """
 
 from __future__ import annotations

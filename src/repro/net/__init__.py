@@ -11,11 +11,9 @@ controlled, seedable way (disconnect/reconnect windows, server-side
 partitions, latency spikes) so the session/resync machinery that
 restores it can be stress-tested.
 
-:mod:`repro.net.sanitizer` adds an opt-in replica-aliasing sanitizer
-(``Network(sim, sanitize=True)`` or ``REPRO_NET_SANITIZE=1``): payloads
-are checksummed at send, verified at delivery, and delivered
-deep-frozen, so any cross-replica shared-state mutation raises at the
-offending site.
+Payloads are delivered by reference, so every one must be an immutable
+value; crowdlint's ESC001 (:mod:`repro.analysis.escapes`) proves this
+for every send site statically.
 """
 
 from repro.net.faults import (
@@ -42,20 +40,8 @@ from repro.net.network import (
     Network,
     NetworkStats,
 )
-from repro.net.sanitizer import (
-    AliasingViolation,
-    MessageSanitizer,
-    deep_freeze,
-    fingerprint,
-    sanitize_enabled_by_env,
-)
 
 __all__ = [
-    "AliasingViolation",
-    "MessageSanitizer",
-    "deep_freeze",
-    "fingerprint",
-    "sanitize_enabled_by_env",
     "ConstantLatency",
     "LatencyModel",
     "LogNormalLatency",

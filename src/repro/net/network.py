@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.sanitizer import (
-    MessageSanitizer,
-    SealedMessage,
-    sanitize_enabled_by_env,
-)
 from repro.sim import RngStreams, Simulator
 
 if TYPE_CHECKING:
@@ -137,21 +132,14 @@ class Network:
         self,
         sim: Simulator,
         default_latency: LatencyModel | None = None,
-        sanitize: bool | None = None,
         *,
         streams: RngStreams | None = None,
         obs: "Observability | NullObservability | None" = None,
     ) -> None:
         """Args:
-            sim / default_latency: as before.
-            sanitize: enable the replica-aliasing sanitizer
-                (:mod:`repro.net.sanitizer`): every payload is
-                deep-copied and checksummed at send, verified at
-                delivery, and delivered deep-frozen; the central
-                drop-accounting debug check runs after every event.
-                ``None`` (the default) defers to the
-                ``REPRO_NET_SANITIZE`` environment variable, which is
-                how CI runs whole suites in sanitizer mode unchanged.
+            sim: the simulator that schedules deliveries.
+            default_latency: latency model for links without an
+                override (default: a constant 50 ms).
             streams: named entropy source; the network draws from its
                 ``"network"`` stream.  Keyword-only; defaults to a
                 zero-seeded stream.
@@ -169,11 +157,6 @@ class Network:
             self.rng = random.Random(0)
         self.obs = resolve(obs)
         self.stats = NetworkStats()
-        if sanitize is None:
-            sanitize = sanitize_enabled_by_env()
-        self.sanitizer: MessageSanitizer | None = (
-            MessageSanitizer() if sanitize else None
-        )
         self._endpoints: dict[str, Endpoint] = {}
         self._channels: dict[tuple[str, str], _Channel] = {}
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
@@ -251,28 +234,22 @@ class Network:
         deliver_at = max(self.sim.now + delay, channel.last_delivery_time)
         channel.last_delivery_time = deliver_at
         channel.in_flight += 1
-        item: Any = payload
-        if self.sanitizer is not None:
-            item = self.sanitizer.seal(source, destination, payload)
         event = self.sim.schedule_at(
-            deliver_at, lambda: self._deliver(channel, source, destination, item)
+            deliver_at,
+            lambda: self._deliver(channel, source, destination, payload),
         )
-        channel.pending.append((event, item))
-        if self.sanitizer is not None:
-            self.check_accounting()
+        channel.pending.append((event, payload))
 
     def broadcast(
         self, source: str, destinations: list[str], payload: Any
     ) -> None:
-        """Send one *payload* to many *destinations*, sealing it once.
+        """Send one *payload* to many *destinations*.
 
         Per destination this is exactly :meth:`send` — same stats, fault
         consultation, per-channel latency sampling, and FIFO clamping,
-        in list order — except that under the sanitizer the payload is
-        deep-copied and fingerprinted a single time for the whole
-        fan-out; every recipient is handed the same deep-frozen copy.
-        That is safe precisely because the sanitizer freezes it: the
-        aliasing checks (PR 3) are the safety net for the sharing.
+        in list order.  Every recipient is handed the same payload
+        object; that is safe because payloads are immutable values,
+        which crowdlint's ESC001 proves for every send site.
 
         Raises:
             KeyError: if the source or any destination is unknown.
@@ -284,9 +261,6 @@ class Network:
                 raise KeyError(
                     f"unknown destination endpoint: {destination!r}"
                 )
-        item: Any = payload
-        if self.sanitizer is not None:
-            item = self.sanitizer.seal(source, "*broadcast*", payload)
         stats = self.stats
         obs = self.obs
         fault_filter = self._fault_filter
@@ -324,12 +298,10 @@ class Network:
             event = self.sim.schedule_at(
                 deliver_at,
                 lambda channel=channel, destination=destination: self._deliver(
-                    channel, source, destination, item
+                    channel, source, destination, payload
                 ),
             )
-            channel.pending.append((event, item))
-        if self.sanitizer is not None:
-            self.check_accounting()
+            channel.pending.append((event, payload))
 
     def drop_in_flight(self, endpoint: str) -> list[DroppedMessage]:
         """Purge every undelivered message to or from *endpoint*.
@@ -380,11 +352,8 @@ class Network:
         purged: list[tuple[Any, DroppedMessage]] = []
         per_link_dropped = self.stats.per_link_dropped
         for channel in channels:
-            for event, item in channel.pending:
+            for event, payload in channel.pending:
                 event.cancel()
-                payload = (
-                    item.original if isinstance(item, SealedMessage) else item
-                )
                 purged.append(
                     (
                         event,
@@ -405,8 +374,6 @@ class Network:
             self.obs.inc("net.messages_dropped", len(purged))
             self.obs.inc("net.messages_purged", len(purged))
         purged.sort(key=lambda pair: (pair[0].time, pair[0].seq))
-        if self.sanitizer is not None:
-            self.check_accounting()
         return [dropped for _, dropped in purged]
 
     def quiescent(self) -> bool:
@@ -424,9 +391,8 @@ class Network:
         The per-link check is what makes the invariant meaningful for
         shard-to-shard exchange links — a global tally would let a
         message lost on one link be silently offset by a double-count
-        on another.  Sanitizer mode runs this after every send,
-        delivery, and purge; tests call it directly instead of
-        re-deriving the arithmetic per test.
+        on another.  The property suites call it at the end of every
+        run instead of re-deriving the arithmetic per test.
 
         Raises:
             AssertionError: some message was double-counted or lost
@@ -488,8 +454,6 @@ class Network:
                     destination=destination,
                     reason="unregistered",
                 )
-            if self.sanitizer is not None:
-                self.check_accounting()
             return
         self.stats.messages_delivered += 1
         self.stats.per_link_delivered[key] = (
@@ -498,13 +462,4 @@ class Network:
         if obs.enabled:
             obs.inc("net.messages_delivered")
             obs.event("net.deliver", source=source, destination=destination)
-        if self.sanitizer is None:
-            endpoint.on_message(source, item)
-            return
-        # Sanitizer custody: verify the sender did not mutate the
-        # message in flight, hand the receiver a deep-frozen private
-        # copy, and re-verify that copy once the handler returns.
-        payload = self.sanitizer.release(item)
-        self.check_accounting()
-        endpoint.on_message(source, payload)
-        self.sanitizer.verify_delivered(item)
+        endpoint.on_message(source, item)

@@ -2,10 +2,9 @@
 
 A :class:`SnapshotSampler` polls a set of named source callables every
 *interval* simulated seconds and appends one deep-copied sample row to
-the owning :class:`~repro.obs.Observability`.  Deep-copying is what
-keeps the sanitizer honest: a snapshot must never alias live replica
-state, so mutating the system after sampling cannot retroactively edit
-history (and deep-freezing payloads cannot poison exports).
+the owning :class:`~repro.obs.Observability`.  A snapshot must never
+alias live replica state, so deep-copying ensures that mutating the
+system after sampling cannot retroactively edit history.
 
 The sampler only re-arms itself while the simulator still has *other*
 pending events.  Without that guard a draining ``sim.run()`` — which

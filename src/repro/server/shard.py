@@ -16,7 +16,7 @@ optimistic semantic replication:
 - Committed operations propagate to every peer shard via *asymmetric
   batched broadcasts*: at the end of each simulated instant the owner
   flushes one delta-compressed :class:`ExchangeBatch` per peer over the
-  normal network (real latency, FIFO, sanitizer-checked); receivers
+  normal network (real latency, FIFO); receivers
   apply remote operations but never re-forward them, so each operation
   crosses each link exactly once.
 - The *global* commit order is the merge of all shards' local logs by
@@ -195,10 +195,10 @@ class ExchangeBatch:
     (vote storms repeat the same vector dozens of times; encode-once is
     the same trick PR 6's broadcast path plays on clients).
 
-    Everything is tuples of immutables, so the replica-aliasing
-    sanitizer can fingerprint and deep-freeze a batch like any other
-    payload, and decoding builds fresh message objects — a receiving
-    shard never aliases the sender's (or the frozen wire) state.
+    Everything is tuples of immutables, so crowdlint's ESC001 proves
+    the batch alias-free like any other payload, and decoding builds
+    fresh message objects — a receiving shard never aliases the
+    sender's (or the wire) state.
     """
 
     shard_id: int

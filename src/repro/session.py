@@ -106,8 +106,6 @@ class CollectionSession:
         obs: ``True`` to create an enabled :class:`repro.obs.Observability`,
             an instance to share one, or ``None``/``False`` for the
             near-zero-cost no-op.
-        sanitize: replica-aliasing sanitizer flag, forwarded to the
-            network (``None`` defers to ``REPRO_NET_SANITIZE``).
         oplog_capacity / on_unsatisfiable / on_complete: forwarded to
             the back-end server.
         shards: ``None`` (default) builds the classic single
@@ -136,7 +134,6 @@ class CollectionSession:
         target_rows: int | None = None,
         latency: LatencyModel | None = None,
         obs: Observability | NullObservability | bool | None = None,
-        sanitize: bool | None = None,
         oplog_capacity: int = 512,
         on_unsatisfiable: str = "drop",
         on_complete: Callable[[], None] | None = None,
@@ -154,7 +151,6 @@ class CollectionSession:
             self.sim,
             default_latency=latency,
             streams=self.streams,
-            sanitize=sanitize,
             obs=self.obs,
         )
         self.marketplace = Marketplace(

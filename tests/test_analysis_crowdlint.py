@@ -332,22 +332,13 @@ def test_cli_rejects_unknown_rule(tmp_path):
 # -- the gate: the shipped tree is clean --------------------------------------
 
 
-def test_src_repro_is_crowdlint_clean_modulo_baseline():
-    """The acceptance criterion: ``python -m repro.analysis src/repro
-    --strict`` exits 0 on the shipped tree — no findings beyond the
-    committed burn-down baseline — asserted here so any regression
-    fails the plain test suite too, not only the CI lint job."""
-    from repro.analysis import Baseline
-    from repro.analysis.baseline import BASELINE_NAME
-
+def test_src_repro_is_crowdlint_clean():
+    """The acceptance criterion: ``python -m repro.analysis src/repro``
+    exits 0 on the shipped tree — no findings at all — asserted here so
+    any regression fails the plain test suite too, not only the CI lint
+    job."""
     diagnostics = lint_paths([REPO_ROOT / "src" / "repro"])
-    baseline = Baseline.load(REPO_ROOT / BASELINE_NAME)
-    result = baseline.apply(diagnostics, REPO_ROOT)
-    assert result.new == [], "\n".join(d.format() for d in result.new)
-    # The baseline may only shrink — a stale entry means a finding was
-    # fixed without deleting its suppression (burn it down), and every
-    # suppressed entry must still correspond to a real finding.
-    assert not result.stale, f"stale baseline entries: {result.stale}"
+    assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
 
 def test_all_rules_registry():

@@ -1,16 +1,12 @@
-"""crowdlint 2.0 infrastructure: the committed-baseline ledger, SARIF
-rendering, pragma validation, and the new CLI surface."""
+"""crowdlint 2.0 infrastructure: SARIF rendering, pragma validation,
+and the CLI surface."""
 
 from __future__ import annotations
 
 import json
 import textwrap
-from pathlib import Path
-
-import pytest
 
 from repro.analysis import (
-    Baseline,
     Diagnostic,
     lint_file,
     lint_paths,
@@ -18,8 +14,6 @@ from repro.analysis import (
     rule_docs,
 )
 from repro.analysis.__main__ import main
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def diag(rule="MUT001", path="src/mod.py", line=3, col=1, message="boom"):
@@ -38,99 +32,12 @@ BAD = "def f(acc=[]):\n    return acc\n"
 CLEAN = "def f(rng):\n    return rng.random()\n"
 
 
-# -- baseline -----------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        baseline = Baseline.from_diagnostics([diag(), diag(), diag(line=9)])
-        target = tmp_path / "baseline.json"
-        baseline.save(target)
-        loaded = Baseline.load(target)
-        # Same (rule, path, message) keys fold into one counted entry.
-        assert loaded.counts == {("MUT001", "src/mod.py", "boom"): 3}
-
-    def test_apply_splits_new_suppressed_stale(self):
-        baseline = Baseline.from_diagnostics([diag()])
-        result = baseline.apply([diag(), diag(line=50)])
-        # One occurrence budgeted: the first is suppressed, the second
-        # (a genuinely new instance of the same finding) is new.
-        assert len(result.suppressed) == 1 and len(result.new) == 1
-        assert result.stale == []
-
-    def test_line_drift_does_not_resurrect_findings(self):
-        baseline = Baseline.from_diagnostics([diag(line=3)])
-        result = baseline.apply([diag(line=120)])  # shifted by edits
-        assert result.new == [] and len(result.suppressed) == 1
-
-    def test_stale_entries_reported_for_burn_down(self):
-        baseline = Baseline.from_diagnostics([diag(), diag(rule="DET001")])
-        result = baseline.apply([diag()])
-        assert result.stale == [("DET001", "src/mod.py", "boom")]
-
-    def test_paths_stored_repo_relative(self, tmp_path):
-        found = diag(path=str(tmp_path / "pkg" / "mod.py"))
-        baseline = Baseline.from_diagnostics([found], root=tmp_path)
-        assert ("MUT001", "pkg/mod.py", "boom") in baseline.counts
-        assert baseline.apply([found], root=tmp_path).new == []
-
-    @pytest.mark.parametrize("content", [
-        "{not json",
-        "[1, 2]",
-        '{"no_findings": true}',
-        '{"findings": [{"rule": "X"}]}',  # entry missing path/message
-    ])
-    def test_malformed_baseline_fails_loudly(self, tmp_path, content):
-        target = tmp_path / "baseline.json"
-        target.write_text(content)
-        with pytest.raises(ValueError, match="malformed baseline"):
-            Baseline.load(target)
-
-    def test_cli_write_then_strict_is_clean(self, tmp_path, capsys):
-        write(tmp_path, "bad.py", BAD)
-        baseline = tmp_path / "b.json"
-        assert main([
-            str(tmp_path), "--write-baseline", "--baseline", str(baseline),
-        ]) == 0
-        assert baseline.is_file()
-        # Strict now passes: the finding is accepted legacy debt...
-        assert main([
-            str(tmp_path), "--strict", "--baseline", str(baseline),
-        ]) == 0
-        assert "suppressed" in capsys.readouterr().out
-        # ...but a NEW finding still fails strict.
-        write(tmp_path, "worse.py", BAD)
-        assert main([
-            str(tmp_path), "--strict", "--baseline", str(baseline),
-        ]) == 1
-
-    def test_cli_strict_reports_stale_entries(self, tmp_path, capsys):
-        bad = write(tmp_path, "bad.py", BAD)
-        baseline = tmp_path / "b.json"
-        main([str(tmp_path), "--write-baseline", "--baseline", str(baseline)])
-        bad.write_text(CLEAN)  # the legacy finding is fixed
-        assert main([
-            str(tmp_path), "--strict", "--baseline", str(baseline),
-        ]) == 0
-        assert "stale-baseline" in capsys.readouterr().out
-
-    def test_cli_malformed_baseline_exits_two(self, tmp_path, capsys):
-        write(tmp_path, "ok.py", CLEAN)
-        baseline = tmp_path / "b.json"
-        baseline.write_text("{broken")
-        assert main([str(tmp_path), "--baseline", str(baseline)]) == 2
-        assert "malformed baseline" in capsys.readouterr().out
-
-
 # -- SARIF --------------------------------------------------------------------
 
 
 class TestSarif:
-    def render(self, diagnostics, suppressed=None, root=None):
-        return json.loads(
-            render_sarif(diagnostics, rule_docs(), root=root,
-                         suppressed=suppressed)
-        )
+    def render(self, diagnostics, root=None):
+        return json.loads(render_sarif(diagnostics, rule_docs(), root=root))
 
     def test_shape_and_rule_metadata(self):
         log = self.render([diag()])
@@ -154,17 +61,6 @@ class TestSarif:
             "pkg/mod.py"
         )
 
-    def test_suppressed_results_marked_not_dropped(self):
-        log = self.render([diag(line=9)], suppressed=[diag(line=3)])
-        results = log["runs"][0]["results"]
-        assert len(results) == 2
-        suppressions = [r.get("suppressions") for r in results]
-        # Sorted by line: the suppressed one (line 3) comes first.
-        assert suppressions[0] == [
-            {"kind": "external", "justification": "committed baseline"}
-        ]
-        assert suppressions[1] is None
-
     def test_stable_ordering(self):
         unordered = [
             diag(path="b.py", line=1),
@@ -186,9 +82,7 @@ class TestSarif:
     def test_cli_writes_sarif(self, tmp_path, capsys):
         write(tmp_path, "bad.py", BAD)
         target = tmp_path / "report.sarif"
-        assert main([
-            str(tmp_path), "--no-baseline", "--sarif", str(target),
-        ]) == 1
+        assert main([str(tmp_path), "--sarif", str(target)]) == 1
         log = json.loads(target.read_text())
         assert log["runs"][0]["results"][0]["ruleId"] == "MUT001"
         assert "SARIF report written" in capsys.readouterr().out
@@ -249,7 +143,7 @@ class TestPragmas:
     def test_json_output_is_stably_ordered(self, tmp_path, capsys):
         write(tmp_path, "b.py", BAD)
         write(tmp_path, "a.py", "import random\nr = random.random()\n" + BAD)
-        assert main([str(tmp_path), "--no-baseline", "--format", "json"]) == 1
+        assert main([str(tmp_path), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         keys = [
             (d["path"], d["line"], d["col"], d["rule"])
@@ -270,10 +164,6 @@ class TestCli:
                         "COMM001", "COMM002", "WIRE001", "WIRE002",
                         "ESC001", "OBS001"):
             assert rule_id in out
-
-    def test_warn_only_and_strict_are_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main([str(tmp_path), "--warn-only", "--strict"])
 
     def test_escape_report_clean_tree(self, tmp_path, capsys):
         write(tmp_path, "replica.py", """\
@@ -301,6 +191,5 @@ class TestCli:
     def test_select_accepts_new_rules(self, tmp_path):
         write(tmp_path, "ok.py", CLEAN)
         assert main([
-            str(tmp_path), "--no-baseline",
-            "--select", "COMM001,WIRE001,ESC001,OBS001",
+            str(tmp_path), "--select", "COMM001,WIRE001,ESC001,OBS001",
         ]) == 0

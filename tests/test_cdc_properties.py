@@ -18,8 +18,7 @@ of the quiesced primary — the same byte-compare the convergence suite
 uses.  A pinned-seed fingerprint test asserts the whole composition
 (faults × bootstrap × exchange) stays deterministically replayable, and
 the ingest-never-paused witness checks commits kept landing between
-bootstrap steps.  The CI sanitizer leg re-runs this file under
-``REPRO_NET_SANITIZE=1``.
+bootstrap steps.
 """
 
 from __future__ import annotations

@@ -19,9 +19,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import WorkerClient
+from repro.constraints import Template
 from repro.core import Column, DataType, OperationError, Replica, Schema
 from repro.core.scoring import DefaultScoring, ThresholdScoring
-from repro.net import Network, UniformLatency
+from repro.net import ConstantLatency, Network, UniformLatency
+from repro.server.backend import BackendServer
 from repro.sim import RngStreams, Simulator
 
 SCHEMA = Schema(
@@ -278,3 +281,56 @@ def test_reliable_delivery_assumption_is_necessary():
     assert network.quiescent()
     assert clients[1].replica.snapshot() != server.replica.snapshot()
     assert clients[0].replica.snapshot() == server.replica.snapshot()
+
+
+def test_full_client_server_stack_converges():
+    """The production assembly — BackendServer and WorkerClients, not
+    the formal model — runs a busy fill/vote schedule and converges."""
+    scoring = ThresholdScoring(2)
+    sim = Simulator()
+    net = Network(
+        sim, default_latency=ConstantLatency(0.05), streams=RngStreams(7)
+    )
+    backend = BackendServer(
+        sim, net, SCHEMA, scoring, Template.cardinality(2), oplog_capacity=64
+    )
+    streams = RngStreams(7)
+    clients = {}
+    for name in ("c0", "c1"):
+        client = WorkerClient(name, SCHEMA, scoring, net, streams=streams)
+        client.bootstrap(backend.attach_client(name))
+        clients[name] = client
+    backend.start()
+
+    def act(client, kind, row_pick, value):
+        row_ids = client.replica.table.row_ids()
+        if not row_ids:
+            return
+        row_id = row_ids[row_pick % len(row_ids)]
+        try:
+            if kind == "fill":
+                client.fill(row_id, "k", value)
+            elif kind == "upvote":
+                client.upvote(row_id)
+            else:
+                client.downvote(row_id)
+        except OperationError:
+            pass
+
+    plan = [
+        (0.1, "c0", "fill", 0, "x"), (0.2, "c1", "fill", 1, "y"),
+        (0.4, "c0", "upvote", 0, ""), (0.5, "c1", "fill", 0, "z"),
+        (0.7, "c1", "downvote", 0, ""), (0.9, "c0", "fill", 1, "x"),
+        (1.1, "c1", "upvote", 1, ""), (1.3, "c0", "downvote", 1, ""),
+    ]
+    for at, who, kind, row_pick, value in plan:
+        sim.schedule_at(
+            at,
+            lambda c=clients[who], k=kind, r=row_pick, v=value: act(c, k, r, v),
+        )
+    sim.run()
+    assert net.quiescent()
+    net.check_accounting()
+    reference = backend.replica.snapshot()
+    for client in clients.values():
+        assert client.replica.snapshot() == reference

@@ -4,7 +4,14 @@ histories, and final-table derivation — including the paper's section
 
 import pytest
 
-from repro.core import CandidateTable, RowValue, ThresholdScoring
+from repro.core import (
+    CandidateTable,
+    Column,
+    DataType,
+    RowValue,
+    Schema,
+    ThresholdScoring,
+)
 from repro.core.schema import soccer_player_schema
 
 
@@ -223,3 +230,35 @@ def test_rows_with_value_and_subsuming(table):
     table.apply_replace("b", "r2", RowValue({"name": "X", "caps": 80}))
     assert len(table.rows_with_value(RowValue({"name": "X"}))) == 1
     assert len(table.rows_subsuming(RowValue({"name": "X"}))) == 2
+
+
+def test_lookups_do_not_depend_on_apply_order():
+    """Two copies that apply the same lineages in different orders (two
+    linear extensions, as two shards would) answer every index lookup
+    with the same row ids in the same order."""
+    schema = Schema(
+        name="Mini",
+        columns=(Column("name", DataType.STRING), Column("caps", DataType.INT)),
+        primary_key=("name",),
+    )
+    value = RowValue({"name": "X"})
+
+    def build(order):
+        table = CandidateTable(schema, ThresholdScoring(2))
+        for lineage in order:
+            table.apply_insert(f"{lineage}#1")
+            table.apply_replace(f"{lineage}#1", f"{lineage}#2", value)
+        return table
+
+    def lookups(table):
+        return [
+            [row.row_id for row in rows]
+            for rows in (
+                table.rows_with_value(value),
+                table.rows_subsuming(value),
+                table.rows_in_group(("X",)),
+            )
+        ]
+
+    ab, ba = lookups(build("ab")), lookups(build("ba"))
+    assert ab == ba == [["a#2", "b#2"]] * 3

@@ -173,6 +173,7 @@ def _run_faulty_schedule(
     injector.force_reconnect_all()
     sim.run()
     assert network.quiescent()
+    network.check_accounting()
     return backend, clients, injector
 
 

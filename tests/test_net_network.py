@@ -230,6 +230,17 @@ def test_drop_in_flight_purges_and_returns_messages():
     assert b.got == []
 
 
+def test_check_accounting_detects_corruption():
+    sim, net = make_net(latency=ConstantLatency(1.0))
+    net.register("a", Sink())
+    net.register("b", Sink())
+    net.send("a", "b", "x")
+    net.check_accounting()
+    net.stats.messages_sent += 1  # simulate an accounting bug
+    with pytest.raises(AssertionError, match="drop-accounting invariant"):
+        net.check_accounting()
+
+
 def test_drop_in_flight_then_reuse_link():
     sim, net = make_net(latency=ConstantLatency(0.5))
     net.register("a", Sink())

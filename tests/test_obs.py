@@ -6,7 +6,7 @@ every subsystem are exercised here:
 * determinism — same-seed runs export byte-identical metrics and trace
   JSON (telemetry is keyed on sim-time only, never a wall clock);
 * isolation — snapshots are deep copies, so they never alias live
-  replica state (checked under the aliasing sanitizer too).
+  replica state.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class TestSnapshotSampler:
 # -- end-to-end determinism and isolation -----------------------------
 
 
-def _small_run(sanitize: bool = False):
+def _small_run():
     from repro.core.scoring import ThresholdScoring
     from repro.experiments.harness import make_policy, resolve_domain
     from repro.session import CollectionSession, WorkerSpec
@@ -241,7 +241,6 @@ def _small_run(sanitize: bool = False):
         scoring=ThresholdScoring(config.min_votes),
         target_rows=config.target_rows,
         obs=True,
-        sanitize=sanitize,
         snapshot_interval=30.0,
     )
     session.attach_estimator(config.budget)
@@ -292,8 +291,8 @@ def test_experiment_obs_handle_and_disabled_default():
 
 
 @pytest.mark.slow
-def test_snapshots_never_alias_live_state_under_sanitizer():
-    session = _small_run(sanitize=True)
+def test_snapshots_never_alias_live_state():
+    session = _small_run()
     backend = session.backend
     assert backend is not None and backend.completed
     snapshots = session.obs.snapshots

@@ -116,7 +116,6 @@ def _run_sharded_schedule(
     latency_seed: int,
     oplog_capacity: int = 512,
     plan: FaultPlan | None = None,
-    sanitize: bool | None = None,
 ):
     """One full run: sharded rig, faults overlaid, ops driven, healed,
     drained to quiescence."""
@@ -125,7 +124,6 @@ def _run_sharded_schedule(
         sim,
         default_latency=UniformLatency(0.01, 1.5),
         streams=RngStreams(latency_seed),
-        sanitize=sanitize,
     )
     backend = ShardedBackend(
         sim,
@@ -226,6 +224,35 @@ def _assert_sharded_convergence(backend, clients, network):
             row.row_id for row in probable_rows_from_scratch(replica.table)
         )
         assert incremental == oracle
+    # Index lookups do not depend on apply order: each shard applied its
+    # own linear extension, yet every replica answers every value and
+    # key lookup the shards hold with the same row ids in the same order.
+    values = list(dict.fromkeys(
+        row.value
+        for shard in backend.shards
+        for row in shard.replica.table.rows()
+    ))
+    keys = list(dict.fromkeys(
+        key for key in (value.key(SCHEMA.key_columns) for value in values)
+        if key is not None
+    ))
+
+    def lookups(table):
+        by_value = [
+            (
+                [row.row_id for row in table.rows_with_value(value)],
+                [row.row_id for row in table.rows_subsuming(value)],
+            )
+            for value in values
+        ]
+        by_key = [
+            [row.row_id for row in table.rows_in_group(key)] for key in keys
+        ]
+        return by_value, by_key
+
+    expected = lookups(backend.primary.replica.table)
+    for replica in replicas:
+        assert lookups(replica.table) == expected
 
     # Single-backend oracle: the merged committed trace replayed onto a
     # fresh table reproduces the primary exactly.
@@ -330,6 +357,32 @@ def test_sharded_convergence_with_tiny_oplog_and_client_churn(
         n_shards, 3, sorted(schedule), fault_seed, latency_seed,
         oplog_capacity=4,
     )
+    _assert_sharded_convergence(backend, clients, network)
+
+
+def test_sharded_full_stack_converges_through_partition_and_heal():
+    """A pinned run of the sharded assembly: client ops, server
+    broadcasts and shard-to-shard exchange batches cross a mid-run
+    partition of all three shards and its heal-time resync, and every
+    replica still converges."""
+    plan = FaultPlan(
+        shard_partitions=(
+            ShardPartitionWindow(_shard_groups(3), start=0.3, end=0.8),
+        )
+    )
+    # (at, client, kind, row pick, column pick, value pick)
+    schedule = [
+        (0.1, 0, "fill", 0, 0, 0), (0.2, 1, "fill", 1, 0, 1),
+        (0.4, 0, "upvote", 0, 0, 0), (0.5, 1, "fill", 0, 0, 2),
+        (0.6, 2, "fill", 1, 2, 0), (0.7, 1, "downvote", 0, 0, 0),
+        (0.9, 0, "fill", 1, 0, 0), (1.1, 1, "upvote", 1, 0, 0),
+        (1.3, 2, "downvote", 1, 0, 0), (1.5, 2, "upvote", 0, 0, 0),
+    ]
+    backend, clients, injector, network = _run_sharded_schedule(
+        3, 3, schedule, 0, 7, oplog_capacity=64, plan=plan
+    )
+    assert any(e.kind == "shard-partition" for e in injector.events)
+    assert any(e.kind == "shard-heal" for e in injector.events)
     _assert_sharded_convergence(backend, clients, network)
 
 

@@ -116,6 +116,7 @@ def test_full_stack_converges_under_random_actions(
         )
     sim.run()
     assert network.quiescent()
+    network.check_accounting()
 
     # 1. Convergence everywhere.
     reference = backend.replica.snapshot()
