@@ -12,11 +12,9 @@ eroding the obs-off <5% regression budget one call at a time.
 receiver whose arguments allocate (f-strings, nested calls, arithmetic,
 container displays, comprehensions) when the call is not dominated by
 an ``enabled`` check — an enclosing ``if ....enabled:`` / conditional
-expression, an earlier ``if not ....enabled: return`` early-out in the
-same function, or the span-sentinel convention (``if span is not
-None:`` where ``span`` was bound via ``... if obs.enabled else
-None``).  Calls whose every argument is a plain name, attribute, or
-literal are exempt: those are what the no-op sink makes free.  The
+expression, or an earlier ``if not ....enabled: return`` early-out in
+the same function.  Calls whose every argument is a plain name,
+attribute, or literal are exempt: those are what the no-op sink makes free.  The
 ``repro.obs`` package itself is exempt (it *is* the sink).
 """
 
@@ -90,9 +88,7 @@ class ObsGuardRule:
             )
 
     def _is_guarded(self, ctx: LintContext, call: ast.Call) -> bool:
-        # Enclosing `if ....enabled` / conditional expression — or an
-        # `if <sentinel> is not None:` where the sentinel was bound by
-        # the span convention `x = ... if obs.enabled else None`.
+        # Enclosing `if ....enabled` / conditional expression?
         enclosing_function: ast.AST | None = None
         node: ast.AST | None = call
         while node is not None:
@@ -109,16 +105,6 @@ class ObsGuardRule:
             ):
                 enclosing_function = node
                 break
-        if enclosing_function is not None:
-            sentinels = self._enabled_sentinels(enclosing_function)
-            node = call
-            while node is not None and node is not enclosing_function:
-                node = ctx.parent(node)
-                if isinstance(node, (ast.If, ast.IfExp)) and any(
-                    isinstance(sub, ast.Name) and sub.id in sentinels
-                    for sub in ast.walk(node.test)
-                ):
-                    return True
         # Early-out `if not ....enabled: return` above the call?
         if enclosing_function is not None:
             for stmt in ast.walk(enclosing_function):
@@ -135,21 +121,3 @@ class ObsGuardRule:
                 ):
                     return True
         return False
-
-    @staticmethod
-    def _enabled_sentinels(function: ast.AST) -> set[str]:
-        """Names bound by ``x = <expr> if ....enabled else None`` — the
-        span-sentinel convention; testing them implies the guard."""
-        sentinels: set[str] = set()
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.IfExp)
-                and _test_checks_enabled(node.value.test)
-            ):
-                sentinels.update(
-                    target.id
-                    for target in node.targets
-                    if isinstance(target, ast.Name)
-                )
-        return sentinels

@@ -89,9 +89,9 @@ class CentralClient:
             continues (the paper's current system); ``"error"`` raises
             :class:`UnsatisfiableTemplateError`.
         clock: returns the current simulated time (for event records).
-        obs: optional :class:`repro.obs.Observability` receiving refresh
-            spans, augmentation/insert/shuffle/drop counters, and a
-            matching-size gauge.  Keyword-only; defaults to the no-op.
+        obs: optional :class:`repro.obs.Observability` receiving
+            refresh/augmentation/insert/shuffle/drop counters, PRI
+            events, and a matching-size gauge.  Keyword-only; defaults to the no-op.
         table: an existing candidate table to operate on directly
             instead of keeping a private copy — the back-end server
             passes its master table, making CC's replica a view of the
@@ -169,8 +169,6 @@ class CentralClient:
             return
         self.stats.refreshes += 1
         augments_before = self.matching.augment_count
-        obs = self.obs
-        span = obs.span("cc.refresh") if obs.enabled else None
         try:
             guard = 0
             while True:
@@ -186,14 +184,12 @@ class CentralClient:
         finally:
             delta = self.matching.augment_count - augments_before
             self.stats.augmentations += delta
-            if span is not None:
-                size = len(self.matching.pairs())
+            obs = self.obs
+            if obs.enabled:
                 obs.inc("cc.refreshes")
                 if delta:
                     obs.inc("cc.augmentations", delta)
-                obs.gauge("cc.matching_size", size)
-                span.set(augmentations=delta, matching_size=size)
-                span.close()
+                obs.gauge("cc.matching_size", len(self.matching.pairs()))
 
     def pri_holds(self) -> bool:
         """Is the PRI currently satisfied (on CC's copy of the table)?"""

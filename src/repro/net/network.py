@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, Sequence, runtime_checkable
 
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.sim import RngStreams, Simulator
@@ -143,9 +143,10 @@ class Network:
             streams: named entropy source; the network draws from its
                 ``"network"`` stream.  Keyword-only; defaults to a
                 zero-seeded stream.
-            obs: optional :class:`repro.obs.Observability` receiving
-                send/deliver/drop counters, a latency histogram, and
-                trace events.  Defaults to the shared no-op.
+            obs: optional :class:`repro.obs.Observability`; its
+                ``net.messages_*`` counters read :attr:`stats` at
+                export, and it receives a latency histogram and
+                drop/purge events.  Defaults to the shared no-op.
         """
         from repro.obs import resolve
 
@@ -161,6 +162,17 @@ class Network:
         self._channels: dict[tuple[str, str], _Channel] = {}
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
         self._fault_filter: FaultFilter | None = None
+        if self.obs.enabled:
+            metrics = self.obs.metrics
+            metrics.read_through(
+                "net.messages_sent", lambda: self.stats.messages_sent
+            )
+            metrics.read_through(
+                "net.messages_delivered", lambda: self.stats.messages_delivered
+            )
+            metrics.read_through(
+                "net.messages_dropped", lambda: self.stats.messages_dropped
+            )
 
     def set_fault_filter(self, fault_filter: FaultFilter | None) -> None:
         """Install (or clear) the fault filter consulted on every send."""
@@ -203,42 +215,7 @@ class Network:
             raise KeyError(f"unknown source endpoint: {source!r}")
         if destination not in self._endpoints:
             raise KeyError(f"unknown destination endpoint: {destination!r}")
-        self.stats.messages_sent += 1
-        key = (source, destination)
-        self.stats.per_link_sent[key] = self.stats.per_link_sent.get(key, 0) + 1
-        obs = self.obs
-        if obs.enabled:
-            obs.inc("net.messages_sent")
-            obs.event("net.send", source=source, destination=destination)
-        channel = self._channel(source, destination)
-        factor = 1.0
-        if self._fault_filter is not None:
-            if self._fault_filter.should_drop(source, destination):
-                self.stats.messages_dropped += 1
-                self.stats.per_link_dropped[key] = (
-                    self.stats.per_link_dropped.get(key, 0) + 1
-                )
-                if obs.enabled:
-                    obs.inc("net.messages_dropped")
-                    obs.event(
-                        "net.drop",
-                        source=source,
-                        destination=destination,
-                        reason="fault",
-                    )
-                return
-            factor = self._fault_filter.latency_factor(source, destination)
-        delay = channel.latency.sample(channel.rng) * factor
-        if obs.enabled:
-            obs.observe("net.latency_seconds", delay)
-        deliver_at = max(self.sim.now + delay, channel.last_delivery_time)
-        channel.last_delivery_time = deliver_at
-        channel.in_flight += 1
-        event = self.sim.schedule_at(
-            deliver_at,
-            lambda: self._deliver(channel, source, destination, payload),
-        )
-        channel.pending.append((event, payload))
+        self._send_each(source, (destination,), payload)
 
     def broadcast(
         self, source: str, destinations: list[str], payload: Any
@@ -261,6 +238,14 @@ class Network:
                 raise KeyError(
                     f"unknown destination endpoint: {destination!r}"
                 )
+        self._send_each(source, destinations, payload)
+
+    def _send_each(
+        self, source: str, destinations: Sequence[str], payload: Any
+    ) -> None:
+        """The one per-destination send path: count, fault-filter,
+        delay and schedule *payload* on each link in order (endpoints
+        already validated)."""
         stats = self.stats
         obs = self.obs
         fault_filter = self._fault_filter
@@ -268,9 +253,6 @@ class Network:
             stats.messages_sent += 1
             key = (source, destination)
             stats.per_link_sent[key] = stats.per_link_sent.get(key, 0) + 1
-            if obs.enabled:
-                obs.inc("net.messages_sent")
-                obs.event("net.send", source=source, destination=destination)
             channel = self._channel(source, destination)
             factor = 1.0
             if fault_filter is not None:
@@ -280,7 +262,6 @@ class Network:
                         stats.per_link_dropped.get(key, 0) + 1
                     )
                     if obs.enabled:
-                        obs.inc("net.messages_dropped")
                         obs.event(
                             "net.drop",
                             source=source,
@@ -371,7 +352,6 @@ class Network:
             channel.pending.clear()
         self.stats.messages_dropped += len(purged)
         if purged and self.obs.enabled:
-            self.obs.inc("net.messages_dropped", len(purged))
             self.obs.inc("net.messages_purged", len(purged))
         purged.sort(key=lambda pair: (pair[0].time, pair[0].seq))
         return [dropped for _, dropped in purged]
@@ -436,7 +416,6 @@ class Network:
         channel.in_flight -= 1
         if channel.pending:
             channel.pending.pop(0)
-        obs = self.obs
         key = (source, destination)
         endpoint = self._endpoints.get(destination)
         if endpoint is None:
@@ -446,9 +425,8 @@ class Network:
             self.stats.per_link_dropped[key] = (
                 self.stats.per_link_dropped.get(key, 0) + 1
             )
-            if obs.enabled:
-                obs.inc("net.messages_dropped")
-                obs.event(
+            if self.obs.enabled:
+                self.obs.event(
                     "net.drop",
                     source=source,
                     destination=destination,
@@ -459,7 +437,4 @@ class Network:
         self.stats.per_link_delivered[key] = (
             self.stats.per_link_delivered.get(key, 0) + 1
         )
-        if obs.enabled:
-            obs.inc("net.messages_delivered")
-            obs.event("net.deliver", source=source, destination=destination)
         endpoint.on_message(source, item)

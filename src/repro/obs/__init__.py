@@ -2,8 +2,18 @@
 
 The whole stack (simulator, network, backend, PRI maintenance, table
 journals, marketplace, compensation) is instrumented against one
-:class:`Observability` facade.  Two design rules keep this subsystem
-compatible with the determinism and performance story of the repo:
+:class:`Observability` facade.  It records each fact once:
+
+* **The ring holds lifecycle events** (crash, recover, resync,
+  checkpoint, drop, completion, ...).  Per-message and per-op facts
+  already live in the program's own records — ``Network.stats``, the
+  server trace, the change stream — and are not traced again.
+* **Mirrored counters are read at export.**  A counter the program
+  already keeps is registered with
+  :meth:`MetricsRegistry.read_through`, not incremented a second time.
+
+Two design rules keep this subsystem compatible with the determinism
+and performance story of the repo:
 
 * **Sim-time only.**  Every timestamp in metrics, spans, and snapshots
   comes from the simulator clock (or a caller-supplied clock) — never a

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass
@@ -87,14 +87,21 @@ class MetricsRegistry:
     """Flat, deterministic registry of named metrics.
 
     Metrics are created lazily on first touch.  A name may be used for
-    exactly one kind (counter, gauge, or histogram); mixing kinds under
-    one name raises, which catches instrumentation typos early.
+    exactly one kind (counter, gauge, histogram, or read-through
+    counter); mixing kinds under one name raises, which catches
+    instrumentation typos early.
+
+    A *read-through* counter mirrors a count the program already keeps
+    (``Network.stats``, a server's trace length, ...): the registry
+    holds only a zero-argument reader and calls it at export time, so
+    the fact is counted once.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._readers: dict[str, Callable[[], int]] = {}
 
     # -- write paths -------------------------------------------------
 
@@ -119,9 +126,19 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram()
         histogram.observe(value)
 
+    def read_through(self, name: str, reader: Callable[[], int]) -> None:
+        """Export *name* as a counter whose value is ``reader()``."""
+        if name in self._readers:
+            raise ValueError(f"metric {name!r} already has a reader")
+        self._check_unused(name, "read-through counter")
+        self._readers[name] = reader
+
     # -- read paths --------------------------------------------------
 
     def counter_value(self, name: str) -> int:
+        reader = self._readers.get(name)
+        if reader is not None:
+            return reader()
         counter = self._counters.get(name)
         return counter.value if counter else 0
 
@@ -133,11 +150,18 @@ class MetricsRegistry:
         return self._histograms.get(name)
 
     def to_dict(self) -> dict[str, Any]:
-        """Deterministic plain-dict export (sorted metric names)."""
+        """Deterministic plain-dict export (sorted metric names).
+
+        A read-through counter is left out while it reads 0, exactly as
+        an incremented counter is absent until its first increment.
+        """
+        counters = {name: c.value for name, c in self._counters.items()}
+        for name, reader in self._readers.items():
+            value = reader()
+            if value:
+                counters[name] = value
         return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(counters.items())),
             "gauges": {
                 name: {"value": g.value, "time": g.time, "updates": g.updates}
                 for name, g in sorted(self._gauges.items())
@@ -153,6 +177,7 @@ class MetricsRegistry:
             ("counter", self._counters),
             ("gauge", self._gauges),
             ("histogram", self._histograms),
+            ("read-through counter", self._readers),
         ):
             if other_kind != kind and name in table:
                 raise ValueError(

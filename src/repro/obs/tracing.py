@@ -2,8 +2,9 @@
 
 Spans and point events are stamped with *simulated* time plus a monotone
 sequence number.  The sim clock does not advance while an event handler
-runs, so most spans have ``start == end``; the sequence number is what
-orders records within one instant, exactly mirroring the event queue's
+runs, so a span opened and closed inside one handler has
+``start == end``; the sequence number is what orders records within one
+instant, exactly mirroring the event queue's
 ``(time, seq)`` ordering.  The ring buffer (``collections.deque`` with
 ``maxlen``) bounds memory on long runs; the export notes how many
 records were evicted so truncation is never silent.

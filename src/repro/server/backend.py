@@ -251,9 +251,10 @@ class BackendServer:
             derived-view consumers (PRI repair, completion).  Batching
             never changes semantics — the table stops a batch early at
             every derived-view change — only amortization.
-        obs: optional :class:`repro.obs.Observability` receiving apply
-            spans, broadcast counters, batch-size histograms, and resync
-            events; threaded on to the Central Client and the master
+        obs: optional :class:`repro.obs.Observability` receiving
+            broadcast counters, batch-size histograms, and resync
+            events (its ``messages_applied`` counter reads the trace
+            length); threaded on to the Central Client and the master
             candidate table.  Defaults to the network's observability
             handle so one ``obs=`` at the session level instruments the
             whole server stack.
@@ -326,6 +327,10 @@ class BackendServer:
         #: Every applied operation, once, in apply order (seq = index).
         #: The one in-memory log the rest of the server reads.
         self.trace: list[TraceRecord] = []
+        if self.obs.enabled:
+            self.obs.metrics.read_through(
+                f"{self._obs_ns}.messages_applied", lambda: len(self.trace)
+            )
         self.oplog_capacity = oplog_capacity
         self.changes = ChangeStream(self, retention=oplog_capacity)
         self._clients: list[str] = []
@@ -701,15 +706,8 @@ class BackendServer:
         listeners.  The table application itself happened in
         :meth:`CandidateTable.apply_batch` (or in CC's replica for
         central messages) just before this call."""
-        obs = self.obs
-        seq = len(self.trace)
-        span = (
-            obs.span(f"{self._obs_ns}.apply", worker_id=worker_id, seq=seq)
-            if obs.enabled
-            else None
-        )
         record = TraceRecord(
-            seq=seq,
+            seq=len(self.trace),
             timestamp=self.sim.now,
             worker_id=worker_id,
             message=message,
@@ -720,10 +718,6 @@ class BackendServer:
         if worker_id != CENTRAL_CLIENT_ID:
             for listener in self._trace_listeners:
                 listener(record)
-        if span is not None:
-            obs.inc(f"{self._obs_ns}.messages_applied")
-            span.set(kind=type(message).__name__)
-            span.close()
         return record
 
     def _log(self, record: TraceRecord, *, replayed: bool = False) -> None:

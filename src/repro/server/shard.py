@@ -396,13 +396,34 @@ class ShardServer(BackendServer):
         }
         self._received_from: dict[int, int] = {}
         self._flush_needed = False
-        # Plain counters (obs-independent, for tests and reports).
+        # Plain counters (obs-independent, for tests and reports); the
+        # obs counters of the same names read them at export.
         self.exchange_batches_sent = 0
         self.exchange_ops_sent = 0
         self.exchange_batches_received = 0
         self.exchange_ops_applied = 0
         self.exchange_dup_ops = 0
         self.exchange_resyncs = 0
+        if self.obs.enabled:
+            metrics, ns = self.obs.metrics, self._obs_ns
+            metrics.read_through(
+                f"{ns}.exchange_batches_sent", lambda: self.exchange_batches_sent
+            )
+            metrics.read_through(
+                f"{ns}.exchange_ops_sent", lambda: self.exchange_ops_sent
+            )
+            metrics.read_through(
+                f"{ns}.exchange_batches_received",
+                lambda: self.exchange_batches_received,
+            )
+            metrics.read_through(
+                f"{ns}.exchange_resyncs", lambda: self.exchange_resyncs
+            )
+            if self.durable is not None:
+                durable = self.durable
+                metrics.read_through(
+                    f"{ns}.recoveries", lambda: durable.recoveries
+                )
         #: Crash-fault state: a crashed shard has lost every piece of
         #: volatile memory and drops anything delivered to it until
         #: :meth:`recover` replays the durable log.
@@ -527,16 +548,6 @@ class ShardServer(BackendServer):
     # -- exchange -----------------------------------------------------------
 
     def _receive_exchange(self, batch: ExchangeBatch) -> None:
-        obs = self.obs
-        span = (
-            obs.span(
-                f"{self._obs_ns}.exchange_apply",
-                origin=batch.shard_id,
-                ops=len(batch),
-            )
-            if obs.enabled
-            else None
-        )
         self.exchange_batches_received += 1
         received = self._received_from.get(batch.shard_id, 0)
         if batch.first_lseq > received:
@@ -556,12 +567,8 @@ class ShardServer(BackendServer):
             fresh += 1
             self._pending.append((commit, message))
         self._received_from[batch.shard_id] = received
-        if obs.enabled:
-            obs.inc(f"{self._obs_ns}.exchange_batches_received")
-            obs.inc(f"{self._obs_ns}.exchange_ops_received", fresh)
-        if span is not None:
-            span.set(fresh=fresh)
-            span.close()
+        if self.obs.enabled:
+            self.obs.inc(f"{self._obs_ns}.exchange_ops_received", fresh)
         if fresh:
             self._schedule_drain()
 
@@ -581,9 +588,6 @@ class ShardServer(BackendServer):
         cursor.record_bulk(len(entries))
         self.exchange_batches_sent += 1
         self.exchange_ops_sent += len(entries)
-        if self.obs.enabled:
-            self.obs.inc(f"{self._obs_ns}.exchange_batches_sent")
-            self.obs.inc(f"{self._obs_ns}.exchange_ops_sent", len(entries))
         self.network.send(self.endpoint, peer, batch)
 
     def resync_peer(self, peer: str, acknowledged: int) -> int:
@@ -606,7 +610,6 @@ class ShardServer(BackendServer):
         backlog = len(self.commit_log) - acknowledged
         self.exchange_resyncs += 1
         if self.obs.enabled:
-            self.obs.inc(f"{self._obs_ns}.exchange_resyncs")
             self.obs.event(
                 f"{self._obs_ns}.exchange_resync",
                 peer=peer,
@@ -796,7 +799,6 @@ class ShardServer(BackendServer):
         self.durable.recoveries += 1
         self.crashed = False
         if self.obs.enabled:
-            self.obs.inc(f"{self._obs_ns}.recoveries")
             self.obs.event(
                 f"{self._obs_ns}.recover",
                 replayed=replayed,

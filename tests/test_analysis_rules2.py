@@ -654,13 +654,6 @@ def test_obs001_enabled_guard_forms(tmp_path):
                 return
             obs.inc("drain." + str(len(batch)))
         """,
-        # Span-sentinel convention.
-        """\
-        def drain(obs, batch):
-            span = obs.span("drain") if obs.enabled else None
-            if span is not None:
-                obs.inc("drain." + str(len(batch)))
-        """,
     ):
         assert lint_snippet(tmp_path, source) == [], source
 

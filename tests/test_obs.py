@@ -78,6 +78,32 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("x", 1.0, time=0.0)
 
+    def test_read_through_counter_reads_at_export(self):
+        registry = MetricsRegistry()
+        source = {"n": 0}
+        registry.read_through("net.messages_sent", lambda: source["n"])
+        # Absent while it reads 0, like a counter never incremented.
+        assert "net.messages_sent" not in registry.to_dict()["counters"]
+        source["n"] = 3
+        assert registry.counter_value("net.messages_sent") == 3
+        assert registry.to_dict()["counters"] == {"net.messages_sent": 3}
+
+    def test_read_through_name_cannot_be_reused_as_another_kind(self):
+        registry = MetricsRegistry()
+        registry.read_through("x", lambda: 1)
+        for reuse in (
+            lambda: registry.inc("x"),
+            lambda: registry.gauge("x", 1.0, time=0.0),
+            lambda: registry.observe("x", 1.0),
+        ):
+            with pytest.raises(ValueError, match="read-through counter"):
+                reuse()
+        with pytest.raises(ValueError, match="already has a reader"):
+            registry.read_through("x", lambda: 2)
+        registry.inc("y")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.read_through("y", lambda: 1)
+
     def test_export_sorts_names(self):
         registry = MetricsRegistry()
         registry.inc("b")
@@ -273,7 +299,8 @@ def test_experiment_obs_handle_and_disabled_default():
     config = ExperimentConfig(seed=42, num_workers=3, target_rows=5)
     plain = CrowdFillExperiment(config).run()
     assert not plain.obs.enabled  # off by default, shared no-op
-    observed = CrowdFillExperiment(config, obs=True).run()
+    experiment = CrowdFillExperiment(config, obs=True)
+    observed = experiment.run()
     assert observed.obs.enabled
     # Observability must not perturb the collection itself.
     assert observed.messages_sent == plain.messages_sent
@@ -288,6 +315,38 @@ def test_experiment_obs_handle_and_disabled_default():
     assert observed.obs.snapshots  # periodic sampling ran
     trace = observed.obs.export_trace()
     assert trace["recorded"] > 0
+    # Mirrored counters read the program's own records at export.
+    session = experiment.session
+    stats = session.network.stats
+    assert metrics.counter_value("net.messages_delivered") == (
+        stats.messages_delivered
+    )
+    assert metrics.counter_value("net.messages_dropped") == (
+        stats.messages_dropped
+    )
+    assert applied == len(session.backend.trace)
+    # A fault-free run drops nothing, so the counter is never created.
+    assert "net.messages_dropped" not in observed.obs.export()["counters"]
+
+
+@pytest.mark.slow
+def test_lifecycle_events_survive_the_ring():
+    """The ring holds lifecycle events only, so a sharded, durable run
+    with a primary crash fits a small ring whole: the crash and the
+    recovery are still there at the end (per-message and per-op
+    records, which would evict them, live in the program's own logs)."""
+    from repro.net import FaultPlan, ShardCrashWindow
+
+    plan = FaultPlan(crashes=(ShardCrashWindow("shard-0", 120.0, 200.0),))
+    obs = Observability(trace_capacity=256)
+    result = CrowdFillExperiment(
+        ExperimentConfig(seed=3, shards=2, fault_plan=plan), obs=obs
+    ).run()
+    assert result.completed
+    trace = obs.export_trace()
+    assert trace["evicted"] == 0
+    names = [record["name"] for record in trace["spans"]]
+    assert "shard-0.crash" in names and "shard-0.recover" in names
 
 
 @pytest.mark.slow

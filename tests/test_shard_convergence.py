@@ -59,6 +59,7 @@ from repro.net import (
     ShardPartitionWindow,
     UniformLatency,
 )
+from repro.obs import Observability
 from repro.server import BackendServer, ShardedBackend, ShardExchangeError
 from repro.server.shard import (
     decode_exchange,
@@ -124,6 +125,7 @@ def _run_sharded_schedule(
         sim,
         default_latency=UniformLatency(0.01, 1.5),
         streams=RngStreams(latency_seed),
+        obs=Observability(),
     )
     backend = ShardedBackend(
         sim,
@@ -279,6 +281,18 @@ def _assert_sharded_convergence(backend, clients, network):
 
     # Per-link conservation (includes the shard-to-shard links).
     network.check_accounting()
+    # The obs exchange counters read each shard's own counters.
+    metrics = network.obs.metrics
+    for shard in backend.shards:
+        for name in (
+            "exchange_batches_sent",
+            "exchange_ops_sent",
+            "exchange_batches_received",
+            "exchange_resyncs",
+        ):
+            assert metrics.counter_value(f"{shard.endpoint}.{name}") == (
+                getattr(shard, name)
+            )
 
 
 operation = st.tuples(
