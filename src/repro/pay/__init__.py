@@ -1,5 +1,8 @@
 """Worker compensation (paper section 5).
 
+- :mod:`repro.pay.timing` — the worker ledger, the one home of the
+  section 5.2 per-worker rules (generation times, action spans, first
+  entries) that every module below reads.
 - :mod:`repro.pay.contribution` — which trace messages contributed to
   the final table: direct/indirect replace contributions, contributing
   upvotes U and downvotes D (section 5.2.1).

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.messages import ReplaceMessage, TraceRecord
+from repro.core.messages import TraceRecord
 from repro.core.schema import Schema
 from repro.pay.contribution import CellContribution, ContributionAnalysis
-from repro.pay.timing import generation_times, median
+from repro.pay.timing import WorkerLedger, freeze, median
 
 DEFAULT_WEIGHT = 8.0
 """Fallback weight (seconds) when a column has no timing samples."""
@@ -105,7 +105,7 @@ def column_weights_from_trace(
     Columns (or vote kinds) without samples fall back to
     *default_weight*, mirroring the uniform scheme's indifference.
     """
-    times = generation_times(trace)
+    times = WorkerLedger.of(trace).generation_time
     contributing_fill_seqs: dict[str, list[int]] = {}
     for cell in analysis.cells:
         contributing_fill_seqs.setdefault(cell.column, []).append(cell.direct.seq)
@@ -221,11 +221,13 @@ def allocate(
         unit = budget / total_weight
         key_columns = set(schema.key_columns)
 
+        dual = scheme is AllocationScheme.DUAL_WEIGHTED
+        ledger = WorkerLedger.of(trace) if dual else None
         cell_weight: dict[int, float] = {}  # id(cell) -> weight
         for column, cells in cells_by_column.items():
             y = weights.by_column[column]
-            if scheme is AllocationScheme.DUAL_WEIGHTED and column in key_columns:
-                ordered, z = _dual_order_and_z(column, cells, trace)
+            if ledger is not None and column in key_columns:
+                ordered, z = _dual_order_and_z(column, cells, ledger)
                 weights.z_by_column[column] = z
                 n = len(ordered)
                 for k, cell in enumerate(ordered, start=1):
@@ -291,27 +293,21 @@ def allocate(
 def _dual_order_and_z(
     column: str,
     cells: list[CellContribution],
-    trace: Sequence[TraceRecord],
+    ledger: WorkerLedger,
 ) -> tuple[list[CellContribution], float]:
     """Order key-column cells by first appearance of their value; fit z.
 
     The k-th value's completion time is the generation time of the
     message that first entered it, which is what the regression runs on.
     """
-    first_seq: dict[Any, int] = {}
-    for record in trace:
-        message = record.message
-        if isinstance(message, ReplaceMessage) and message.column == column:
-            value = message.filled_value
-            if value not in first_seq:
-                first_seq[value] = record.seq
-    ordered = sorted(
-        cells, key=lambda cell: first_seq.get(cell.value, cell.direct.seq)
-    )
-    times = generation_times(trace)
-    completion_times = [
-        times[first_seq[cell.value]]
-        for cell in ordered
-        if cell.value in first_seq and first_seq[cell.value] in times
+    entries = [
+        (cell, ledger.first_entry.get((column, freeze(cell.value))))
+        for cell in cells
     ]
-    return ordered, fit_z(completion_times)
+    entries.sort(key=lambda pair: (pair[1] or pair[0].direct).seq)
+    completion_times = [
+        ledger.generation_time[entry.seq]
+        for _, entry in entries
+        if entry is not None and entry.seq in ledger.generation_time
+    ]
+    return [cell for cell, _ in entries], fit_z(completion_times)

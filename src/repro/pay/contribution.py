@@ -29,6 +29,7 @@ from repro.core.messages import (
 )
 from repro.core.row import Row
 from repro.core.schema import Schema
+from repro.pay.timing import WorkerLedger, freeze
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,7 @@ def analyze_contributions(
             replace_by_new_id[message.new_id] = record
 
     # Earliest entry of (column, value) across M, for indirect credit.
-    first_entry: dict[tuple[str, Any], TraceRecord] = {}
-    for record in records:
-        if isinstance(record.message, ReplaceMessage):
-            key = (record.message.column, _freeze(record.message.filled_value))
-            if key not in first_entry:
-                first_entry[key] = record
+    first_entry = WorkerLedger.of(records).first_entry
 
     final_values = [row.value for row in final_rows]
 
@@ -133,7 +129,7 @@ def analyze_contributions(
         direct_by_column = _walk_chain(final_row.row_id, replace_by_new_id)
         for column, direct in direct_by_column.items():
             value = final_row.value[column]
-            indirect = first_entry.get((column, _freeze(value)))
+            indirect = first_entry.get((column, freeze(value)))
             if indirect is not None:
                 assert isinstance(indirect.message, ReplaceMessage)
                 if not indirect.message.value.issubset(final_row.value):
@@ -182,10 +178,3 @@ def _walk_chain(
         contributions[message.column] = record
         current = message.old_id
     return contributions
-
-
-def _freeze(value: Any) -> Any:
-    """Hashable view of a filled value (values are scalars in practice)."""
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value

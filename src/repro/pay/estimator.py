@@ -42,7 +42,7 @@ from repro.pay.allocation import (
     AllocationScheme,
     fit_z,
 )
-from repro.pay.timing import median
+from repro.pay.timing import WorkerLedger, freeze, median
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class CompensationEstimator:
             self.expected_cells[column] = self.template_size - pinned
 
         self.u_min = self._find_u_min()
-        # Timing state.
-        self._last_time_by_worker: dict[str, float] = {}
+        # Per-worker timing and first-entry facts (section 5.2).
+        self.ledger = WorkerLedger()
         self._fill_samples: dict[str, list[float]] = {
             c: [] for c in schema.column_names
         }
@@ -117,14 +117,7 @@ class CompensationEstimator:
         self._downvote_samples: list[float] = []
         # Downvotes seen so far (value, seq) for the |D| estimate.
         self._downvotes_seen: list[RowValue] = []
-        # (column, value) pairs already entered: a repeat entry can earn
-        # at most the direct share h_c * b_c (the indirect share went to
-        # the first enterer), and the estimate reflects that.
-        self._values_entered: set[tuple[str, Any]] = set()
-        # First-appearance tracking per key column for z fits.
-        self._key_values_seen: dict[str, list[Any]] = {
-            c: [] for c in schema.key_columns
-        }
+        # Generation times of each key column's first entries (z fits).
         self._key_completion_times: dict[str, list[float]] = {
             c: [] for c in schema.key_columns
         }
@@ -133,7 +126,7 @@ class CompensationEstimator:
 
     def on_record(self, record: TraceRecord, table: CandidateTable) -> float:
         """Ingest one worker message; returns the estimate shown for it."""
-        generation_time = self._note_timing(record)
+        generation_time = self.ledger.note(record)
         probable = probable_rows(table)
         self._learn(record, generation_time, probable)
         amount, kind = self._estimate_for(record, probable)
@@ -196,36 +189,18 @@ class CompensationEstimator:
         that number: the current full-cell estimate for a first entry
         into each column.
         """
-        probable = probable_rows(table)
-        by_column, upvote_w, downvote_w = self._current_weights()
-        total_weight = (
-            sum(
-                by_column[c] * self.expected_cells[c]
-                for c in self.schema.column_names
-            )
-            + upvote_w * self._estimate_u(probable)
-            + downvote_w * self._estimate_d(probable)
-        )
-        if total_weight <= 0:
+        by_column, _, _, unit = self._weights_and_unit(probable_rows(table))
+        if unit is None:
             return {c: 0.0 for c in self.schema.column_names}
-        unit = self.budget / total_weight
         return {c: by_column[c] * unit for c in self.schema.column_names}
 
     def current_vote_estimates(self, table: CandidateTable) -> tuple[float, float]:
         """(upvote, downvote) estimates shown next to the vote icons."""
-        probable = probable_rows(table)
-        by_column, upvote_w, downvote_w = self._current_weights()
-        total_weight = (
-            sum(
-                by_column[c] * self.expected_cells[c]
-                for c in self.schema.column_names
-            )
-            + upvote_w * self._estimate_u(probable)
-            + downvote_w * self._estimate_d(probable)
+        _, upvote_w, downvote_w, unit = self._weights_and_unit(
+            probable_rows(table)
         )
-        if total_weight <= 0:
+        if unit is None:
             return 0.0, 0.0
-        unit = self.budget / total_weight
         return upvote_w * unit, downvote_w * unit
 
     # -- internals ------------------------------------------------------------------
@@ -235,16 +210,6 @@ class CompensationEstimator:
             if self.scoring.score(u, 0) > 0:
                 return u
         return 1
-
-    def _note_timing(self, record: TraceRecord) -> float | None:
-        message = record.message
-        if isinstance(message, UpvoteMessage) and message.auto:
-            return None  # piggybacked; not a worker action
-        previous = self._last_time_by_worker.get(record.worker_id)
-        self._last_time_by_worker[record.worker_id] = record.timestamp
-        if previous is None:
-            return None
-        return record.timestamp - previous
 
     def _learn(
         self,
@@ -260,11 +225,12 @@ class CompensationEstimator:
                 column, value, probable
             ):
                 self._fill_samples[column].append(generation_time)
-            if column in self._key_values_seen:
-                if value not in self._key_values_seen[column]:
-                    self._key_values_seen[column].append(value)
-                    if generation_time is not None:
-                        self._key_completion_times[column].append(generation_time)
+            if (
+                column in self._key_completion_times
+                and generation_time is not None
+                and self.ledger.first_entry[(column, freeze(value))] is record
+            ):
+                self._key_completion_times[column].append(generation_time)
         elif isinstance(message, UpvoteMessage):
             if message.auto:
                 return
@@ -335,12 +301,12 @@ class CompensationEstimator:
             return 0.0
         return fit_z(times)
 
-    def _estimate_for(
-        self, record: TraceRecord, probable: list
-    ) -> tuple[float, str]:
-        message = record.message
+    def _weights_and_unit(
+        self, probable: list
+    ) -> tuple[dict[str, float], float, float, float | None]:
+        """Current weights and the budget per unit of weight (None when
+        the expected total weight is not positive)."""
         by_column, upvote_w, downvote_w = self._current_weights()
-
         total_weight = (
             sum(
                 by_column[c] * self.expected_cells[c]
@@ -350,8 +316,16 @@ class CompensationEstimator:
             + downvote_w * self._estimate_d(probable)
         )
         if total_weight <= 0:
+            return by_column, upvote_w, downvote_w, None
+        return by_column, upvote_w, downvote_w, self.budget / total_weight
+
+    def _estimate_for(
+        self, record: TraceRecord, probable: list
+    ) -> tuple[float, str]:
+        message = record.message
+        by_column, upvote_w, downvote_w, unit = self._weights_and_unit(probable)
+        if unit is None:
             return 0.0, self._kind(message)
-        unit = self.budget / total_weight
 
         if isinstance(message, ReplaceMessage):
             column = message.column
@@ -362,8 +336,8 @@ class CompensationEstimator:
             ):
                 weight = self._dual_position_weight(column, weight, message)
             amount = weight * unit
-            entry = (column, message.filled_value)
-            if entry in self._values_entered:
+            key = (column, freeze(message.filled_value))
+            if self.ledger.first_entry[key] is not record:
                 # Someone already entered this value in this column: the
                 # indirect share is spoken for, so at most h_c * b_c.
                 split = (
@@ -372,8 +346,6 @@ class CompensationEstimator:
                     else NONKEY_SPLIT
                 )
                 amount *= split
-            else:
-                self._values_entered.add(entry)
             return amount, f"fill:{column}"
         if isinstance(message, UpvoteMessage):
             if message.auto:
@@ -390,11 +362,7 @@ class CompensationEstimator:
         z = self._estimated_z(column)
         if z == 0:
             return base
-        seen = self._key_values_seen[column]
-        try:
-            k = seen.index(message.filled_value) + 1
-        except ValueError:
-            k = len(seen) + 1
+        k = self.ledger.entry_rank[column][freeze(message.filled_value)]
         n = max(self.expected_cells.get(column, k), k, 2)
         spread = 1 + (2 * z / (n - 1)) * (k - (n + 1) / 2)
         return base * max(0.0, spread)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.constraints.template import Template
-from repro.core.messages import TraceRecord, UpvoteMessage
+from repro.core.messages import TraceRecord
 from repro.core.schema import Schema
 from repro.core.scoring import ScoringFunction
+from repro.pay.timing import WorkerLedger
 from repro.workers.profile import ActionLatencies
 
 MIN_ACTIVE_SECONDS = 30.0
@@ -56,24 +57,17 @@ def effective_wages(
     """Realized hourly wages, per worker.
 
     Active time is approximated by the span between a worker's first
-    and last message plus one median action — the same timestamp-diff
-    approximation the paper uses for action times (section 5.2.2).
+    and last action — the same timestamp-diff approximation the paper
+    uses for action times (section 5.2.2).
     """
-    first: dict[str, float] = {}
-    last: dict[str, float] = {}
-    for record in trace:
-        message = record.message
-        if isinstance(message, UpvoteMessage) and message.auto:
-            continue
-        first.setdefault(record.worker_id, record.timestamp)
-        last[record.worker_id] = record.timestamp
+    ledger = WorkerLedger.of(trace)
     estimates = []
-    for worker_id, start in first.items():
+    for worker_id, start in ledger.first_action.items():
         estimates.append(
             WageEstimate(
                 worker_id=worker_id,
                 payment=payments.get(worker_id, 0.0),
-                active_seconds=last[worker_id] - start,
+                active_seconds=ledger.last_action[worker_id] - start,
             )
         )
     return sorted(estimates, key=lambda e: e.worker_id)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.messages import ReplaceMessage, UpvoteMessage
-from repro.pay.timing import median
+from repro.core.messages import ReplaceMessage, TraceRecord
+from repro.pay.timing import WorkerLedger, median
 from repro.server.backend import BackendServer
 
 
@@ -55,30 +55,31 @@ class CellRecommender:
         self._outstanding: dict[str, tuple[str, str, float]] = {}
         # (worker, row) pairs the worker said it cannot help with.
         self._declined: set[tuple[str, str]] = set()
+        # worker -> column -> fill generation times, folded once per record.
+        self._ledger = WorkerLedger()
+        self._fill_times: dict[str, dict[str, list[float]]] = {}
+        for record in backend.worker_trace():
+            self._note(record)
+        backend.add_trace_listener(self._note)
 
     # -- skill estimation ------------------------------------------------------
 
+    def _note(self, record: TraceRecord) -> None:
+        time = self._ledger.note(record)
+        message = record.message
+        if time is not None and isinstance(message, ReplaceMessage):
+            self._fill_times.setdefault(record.worker_id, {}).setdefault(
+                message.column, []
+            ).append(time)
+
     def skill_times(self) -> dict[str, dict[str, float]]:
         """worker -> column -> median fill generation time (observed)."""
-        last_by_worker: dict[str, float] = {}
-        samples: dict[str, dict[str, list[float]]] = {}
-        for record in self.backend.worker_trace():
-            message = record.message
-            if isinstance(message, UpvoteMessage) and message.auto:
-                continue
-            previous = last_by_worker.get(record.worker_id)
-            last_by_worker[record.worker_id] = record.timestamp
-            if previous is None or not isinstance(message, ReplaceMessage):
-                continue
-            samples.setdefault(record.worker_id, {}).setdefault(
-                message.column, []
-            ).append(record.timestamp - previous)
         return {
             worker: {
                 column: median(times) or 0.0
                 for column, times in by_column.items()
             }
-            for worker, by_column in samples.items()
+            for worker, by_column in self._fill_times.items()
         }
 
     def relative_speed(self, worker_id: str, column: str) -> float:

@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.schema import soccer_player_schema
 from repro.pay import AllocationScheme, allocate, analyze_contributions
 from repro.pay.allocation import fit_z
-from repro.pay.timing import generation_times, median
+from repro.pay.timing import WorkerLedger, median
 
 SCHEMA = soccer_player_schema()
 FULL = {
@@ -316,7 +316,7 @@ def test_timeline_is_monotone(simple_run):
 
 
 def test_generation_times_skip_first_message_and_auto_upvotes(simple_run):
-    times = generation_times(simple_run.trace)
+    times = WorkerLedger.of(simple_run.trace).generation_time
     # w1's first fill has no predecessor; the remaining 4 do.
     w1_seqs = [r.seq for r in simple_run.trace if r.worker_id == "w1"]
     assert w1_seqs[0] not in times
