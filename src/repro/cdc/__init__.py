@@ -8,8 +8,8 @@ subscribable change stream with snapshot-equivalent replay:
   :class:`Cut`, :class:`SnapshotChunk`) and their canonical codecs.
 - :mod:`repro.cdc.subscription` — the producer (:class:`ChangeStream`)
   and the count-acknowledged consumer handle (:class:`Subscription`),
-  plus :class:`StreamCursor`, the one FIFO-resync bookkeeping core
-  shared by client sessions, shard exchange marks, and subscriptions.
+  plus :class:`StreamCursor`, the FIFO-resync bookkeeping core of
+  shard exchange marks and subscriptions.
 - :mod:`repro.cdc.view` — :class:`CdcView`, a derived key-value view
   that bootstraps via DBLog-style chunked snapshot reads interleaved
   with the live stream and converges without pausing ingest.

@@ -10,8 +10,6 @@ producer sent, so the consumer's received-message *count* alone
 identifies exactly which sent messages were lost.  The sender-side
 bookkeeping for that protocol is :class:`StreamCursor`, and it backs
 
-- the per-client broadcast sessions of
-  :class:`~repro.server.backend.BackendServer` (reattach resync),
 - the per-peer exchange marks of
   :class:`~repro.server.shard.ShardServer` (heal-time resync), and
 - the :class:`Subscription` buffers of this module (derived views and

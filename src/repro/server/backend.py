@@ -16,7 +16,8 @@ message to every client except the originator.  Beyond the model it:
   and be resynced — incrementally from the trace's retained suffix (its
   newest ``oplog_capacity`` records) when the gap is still covered, or
   by a fresh bootstrap snapshot when the gap reaches past it (the
-  DBLog-style snapshot fallback).
+  DBLog-style snapshot fallback).  A client's stream is a view of the
+  trace, so the session keeps no copy of it.
 
 The resync protocol is acknowledged by *count*: per-link FIFO makes the
 stream a client actually received a prefix of the stream the server
@@ -33,7 +34,7 @@ from itertools import islice
 from typing import Any, Callable, Iterator, Literal
 
 from repro.cdc.events import Cut
-from repro.cdc.subscription import ChangeStream, StreamCursor, Subscription
+from repro.cdc.subscription import ChangeStream, Subscription
 from repro.constraints.central import CENTRAL_CLIENT_ID, CentralClient
 from repro.constraints.matching import IncrementalMatching
 from repro.constraints.template import Template, TemplateRow
@@ -106,31 +107,48 @@ class BootstrapState:
 
 @dataclass
 class ClientSession:
-    """Server-side per-client broadcast bookkeeping for resync.
+    """Server-side per-client resync state.
 
-    The count/replay-ref bookkeeping is a
-    :class:`~repro.cdc.subscription.StreamCursor` — the one FIFO-resync
-    protocol core, shared with the shard exchange marks and the CDC
-    subscription buffers; here its window is ``oplog_capacity`` and its
-    refs are trace seqs.  The session adds attach state and resync
-    counters on top.  While detached, ``detach_seq`` pins the last
-    server seq applied before the client went away.
+    A client's stream is ``trace[epoch_seq:]`` minus the seqs withheld
+    from it as its own echoes.  The session keeps what the trace cannot
+    tell: when the sync epoch (attach or snapshot resync) began, the
+    newest ``oplog_capacity`` withheld seqs (all a resync reads), and
+    how many seqs up to the last one sent were withheld.  While
+    detached, nothing past ``detach_seq`` is sent.
     """
 
     name: str
-    cursor: StreamCursor
-    attached: bool = True
+    trace: list[TraceRecord] = field(repr=False)
+    withheld: deque[int] = field(repr=False)
+    epoch_seq: int = 0
+    epoch_time: float = 0.0
+    withheld_sent: int = 0
     detach_seq: int | None = None
     resyncs_incremental: int = 0
     resyncs_snapshot: int = 0
 
     @property
+    def attached(self) -> bool:
+        return self.detach_seq is None
+
+    def withhold(self, seq: int) -> None:
+        """Trace record *seq* is the client's own echo: not streamed."""
+        self.withheld.append(seq)
+        if self.attached:
+            self.withheld_sent += 1
+
+    def rebase(self, time: float) -> None:
+        """A snapshot (attach or resync): a new epoch at the trace end."""
+        self.epoch_seq = len(self.trace)
+        self.epoch_time = time
+        self.withheld.clear()
+        self.withheld_sent = 0
+
+    @property
     def sent_count(self) -> int:
         """Messages sent to the client in the current sync epoch."""
-        return self.cursor.sent_count
-
-    def record_send(self, seq: int) -> None:
-        self.cursor.record_send(seq)
+        end = len(self.trace) if self.attached else self.detach_seq + 1
+        return end - self.epoch_seq - self.withheld_sent
 
 
 @dataclass(frozen=True)
@@ -322,6 +340,9 @@ class BackendServer:
         self.hosts_central = hosts_central
         self.obs = resolve(obs) if obs is not None else network.obs  # type: ignore[arg-type]
         self._obs_ns = endpoint
+        self._broadcasts_metric = f"{endpoint}.broadcasts"
+        self._batches_metric = f"{endpoint}.batches"
+        self._batch_size_metric = f"{endpoint}.batch_size"
         self.replica = Replica(endpoint, schema, scoring)
         self.replica.table.set_observability(self.obs, scope=self._obs_ns)
         #: Every applied operation, once, in apply order (seq = index).
@@ -335,13 +356,6 @@ class BackendServer:
         self.changes = ChangeStream(self, retention=oplog_capacity)
         self._clients: list[str] = []
         self._sessions: dict[str, ClientSession] = {}
-        # When each client's local copy was last *rebased* on a full
-        # snapshot (initial attach, crash rejoin, or a snapshot resync
-        # the retained trace could not cover).  Sharded broadcast uses
-        # this to decide whether echo-exclusion is sound: operations
-        # committed before the rebase are no longer held locally by
-        # their origin worker, so they must be broadcast back to it.
-        self._snapshot_epoch: dict[str, float] = {}
         self.on_complete = on_complete
         self.completed = False
         self.completion_time: float | None = None
@@ -402,10 +416,11 @@ class BackendServer:
         if name in self._clients:
             raise ValueError(f"client already attached: {name!r}")
         self._clients.append(name)
-        self._sessions[name] = ClientSession(
-            name, StreamCursor(window=self.oplog_capacity)
+        session = ClientSession(
+            name, self.trace, deque(maxlen=self.oplog_capacity)
         )
-        self._snapshot_epoch[name] = self.sim.now
+        session.rebase(self.sim.now)
+        self._sessions[name] = session
         return BootstrapState.capture(self.replica)
 
     def detach_client(self, name: str) -> None:
@@ -417,10 +432,7 @@ class BackendServer:
         """
         if name in self._clients:
             self._clients.remove(name)
-            session = self._sessions.get(name)
-            if session is not None:
-                session.attached = False
-                session.detach_seq = len(self.trace) - 1
+            self._sessions[name].detach_seq = len(self.trace) - 1
 
     def reattach_client(self, name: str, received_count: int) -> ResyncResult:
         """Resume a detached client's session and resync its copy.
@@ -431,12 +443,12 @@ class BackendServer:
                 received from the server in the current sync epoch —
                 its acknowledgement of the prefix it holds.
 
-        The server replays the unacknowledged suffix of what it sent
-        plus everything applied while the client was detached (its own
-        operations excluded — the client applied those locally), in seq
-        order, through the normal FIFO link.  When the retained trace
-        suffix no longer covers the gap, the client instead gets a fresh
-        :class:`BootstrapState` and both sides reset their counters.
+        The server replays the client's stream (see
+        :class:`ClientSession`) from its first unacknowledged record on,
+        in seq order, through the normal FIFO link.  When the retained
+        trace suffix no longer covers the gap, the client instead gets a
+        fresh :class:`BootstrapState` and both sides reset their
+        counters.
 
         Unacknowledged messages are treated as *dead*: reattach assumes
         no traffic toward the client is still in flight, which holds
@@ -459,26 +471,20 @@ class BackendServer:
                 f"but only {session.sent_count} were sent"
             )
         replay = self._incremental_replay(session, received_count)
-        # Everything past the acknowledged prefix is dead: the outage
-        # purged the link, and nothing is sent to a detached client.
-        # Roll the stream back to the prefix the client actually holds,
-        # so replayed messages extend it as fresh sends — otherwise a
-        # second outage interrupting the replay would leave stale
-        # positions behind and the next resync would replay (and the
-        # client double-apply) the same seqs again.
-        session.cursor.rollback(received_count)
-        session.attached = True
+        # Echoes withheld while detached join the sent range.
+        session.withheld_sent += sum(
+            1 for seq in session.withheld if seq > session.detach_seq
+        )
         session.detach_seq = None
         self._clients.append(name)
         if replay is None:
-            session.cursor.reset()
+            session.rebase(self.sim.now)
             session.resyncs_snapshot += 1
             if self.obs.enabled:
                 self.obs.inc(f"{self._obs_ns}.resyncs_snapshot")
                 self.obs.event(
                     f"{self._obs_ns}.resync", client=name, kind="snapshot"
                 )
-            self._snapshot_epoch[name] = self.sim.now
             return ResyncResult(
                 kind="snapshot", bootstrap=BootstrapState.capture(self.replica)
             )
@@ -494,34 +500,31 @@ class BackendServer:
             )
         for record in replay:
             self.network.send(self.broadcast_source, name, record.message)
-            session.record_send(record.seq)
         return ResyncResult(kind="incremental", replayed=len(replay))
 
     def _incremental_replay(
         self, session: ClientSession, received_count: int
     ) -> list[TraceRecord] | None:
-        """The records to replay for an incremental resync, or None when
-        the gap reaches past the retained trace suffix (snapshot
-        needed)."""
-        unacked = session.cursor.unacked(received_count)
-        if unacked is None:
-            return None  # the unacked suffix starts before retained seqs
-        trace = self.trace
-        first = max(len(trace) - self.oplog_capacity, 0)
-        if any(seq < first for seq in unacked):
+        """The client's stream records in ``trace[start:]``, where
+        ``start`` is its first unacknowledged record — or None when that
+        lies before the retained trace suffix (snapshot needed).  A
+        replay cut short by another outage leaves the client a longer
+        prefix of the same stream, so nothing is applied twice."""
+        first = len(self.trace) - self.oplog_capacity
+        withheld = set(session.withheld)
+        unacked = session.sent_count - received_count
+        start = session.detach_seq + 1
+        while unacked and start > first:
+            start -= 1
+            if start not in withheld:
+                unacked -= 1
+        if unacked or start < first:
             return None
-        replay = [trace[seq] for seq in unacked]
-        detach_seq = session.detach_seq
-        assert detach_seq is not None
-        if len(trace) - 1 > detach_seq:
-            if first > detach_seq + 1:
-                return None  # applied while detached, no longer retained
-            replay.extend(
-                record
-                for record in islice(trace, detach_seq + 1, None)
-                if record.worker_id != session.name
-            )
-        return replay
+        return [
+            record
+            for record in islice(self.trace, start, None)
+            if record.seq not in withheld
+        ]
 
     def disconnect_worker(self, client: Any) -> bool:
         """Outage-begin bookkeeping for a worker client: detach the
@@ -637,8 +640,8 @@ class BackendServer:
                 error = exc.cause
             self.replica.messages_processed += applied
             if obs.enabled:
-                obs.inc(f"{self._obs_ns}.batches")
-                obs.observe(f"{self._obs_ns}.batch_size", applied)
+                obs.inc(self._batches_metric)
+                obs.observe(self._batch_size_metric, applied)
             for _ in range(applied):
                 source, message = popleft()
                 record = apply_and_trace(message, worker_id=source)
@@ -674,23 +677,23 @@ class BackendServer:
     def _broadcast_record(
         self, record: TraceRecord, exclude: str | None
     ) -> None:
-        """Fan one applied message out to every (other) client.
+        """Fan one applied message out to every client but *exclude*,
+        whose session (attached or detached) notes the withheld echo.
 
         The wire payload is the record's message, built exactly once —
         the network's broadcast primitive shares one sealed encoding
         across all recipients (see :meth:`repro.net.Network.broadcast`).
         """
+        if exclude is not None:
+            session = self._sessions.get(exclude)
+            if session is not None:
+                session.withhold(record.seq)
         targets = [c for c in self._clients if c != exclude]
         if not targets:
             return
         self.network.broadcast(self.broadcast_source, targets, record.message)
-        seq = record.seq
-        for client in targets:
-            session = self._sessions.get(client)
-            if session is not None:
-                session.record_send(seq)
         if self.obs.enabled:
-            self.obs.inc(f"{self._obs_ns}.broadcasts", len(targets))
+            self.obs.inc(self._broadcasts_metric, len(targets))
 
     def _apply_and_trace(self, message: Message, worker_id: str) -> TraceRecord:
         """Trace one applied message.  On a plain backend the whole

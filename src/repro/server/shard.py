@@ -525,8 +525,8 @@ class ShardServer(BackendServer):
             # nor the worker's outbox (it was committed, not pending),
             # so this broadcast is the worker's only way to get its own
             # operation back.
-            epoch = self._snapshot_epoch.get(exclude)
-            if epoch is not None and origin.timestamp < epoch:
+            session = self._sessions.get(exclude)
+            if session is not None and origin.timestamp < session.epoch_time:
                 exclude = None
         super()._broadcast_record(record, exclude)
 
@@ -703,7 +703,6 @@ class ShardServer(BackendServer):
         self.trace = []
         self._clients = []
         self._sessions = {}
-        self._snapshot_epoch = {}
         self._pending.clear()
         self.completed = False
         self.completion_time = None

@@ -221,6 +221,12 @@ def _assert_crash_convergence(backend, clients, network):
         assert incremental == scratch
 
     network.check_accounting()
+    # Each attached client's session derives its sent count from the
+    # trace; it must equal what the client itself counted in.
+    for name, client in clients.items():
+        session = backend.session(name)
+        if session is not None and session.attached:
+            assert session.sent_count == client.messages_received
     _assert_single_log(backend)
 
 

@@ -174,6 +174,12 @@ def _run_faulty_schedule(
     sim.run()
     assert network.quiescent()
     network.check_accounting()
+    # Each attached client's session derives its sent count from the
+    # trace; it must equal what the client itself counted in.
+    for name, client in clients.items():
+        session = backend.session(name)
+        if session is not None and session.attached:
+            assert session.sent_count == client.messages_received
     return backend, clients, injector
 
 

@@ -346,3 +346,66 @@ def test_current_template_reflects_drops():
     )
     sim.run()
     assert len(backend.current_template()) == 0
+
+
+FILLS = [("name", "Messi"), ("nationality", "Argentina"),
+         ("position", "FW"), ("caps", 83)]
+
+
+def _outage(network, backend, client):
+    """An outage begins: detach, disconnect, purge the client's links."""
+    backend.detach_client(client.worker_id)
+    client.disconnect()
+    network.drop_in_flight(client.worker_id)
+
+
+@pytest.mark.parametrize("lost, kind", [(3, "incremental"), (4, "snapshot")])
+def test_sends_purged_by_an_outage_replay_within_the_oplog(lost, kind):
+    """Sends an outage purges from the wire are unacknowledged: up to
+    ``oplog_capacity`` of them replay incrementally, one more forces a
+    snapshot."""
+    sim, network, backend, clients = make_system(num_clients=2,
+                                                 oplog_capacity=3)
+    before = len(backend.trace)
+    processed = clients[1].replica.messages_processed
+    row_id = clients[0].replica.table.row_ids()[0]
+    for column, value in FILLS[:lost]:
+        row_id = clients[0].fill(row_id, column, value)
+    # Past the server's receipt (+0.05), before the broadcasts land.
+    sim.run(until=sim.now + 0.06)
+    assert len(backend.trace) - before == lost
+    _outage(network, backend, clients[1])
+    session = backend.session("w1")
+    assert session.sent_count == clients[1].messages_received + lost
+    assert clients[1].reconnect(backend) == kind
+    sim.run()
+    assert clients[1].snapshot() == backend.replica.snapshot()
+    if kind == "incremental":
+        assert clients[1].replica.messages_processed == processed + lost
+        assert session.resyncs_incremental == 1
+    else:
+        assert session.resyncs_snapshot == 1
+    assert session.sent_count == clients[1].messages_received
+
+
+def test_outage_interrupting_a_replay_applies_each_op_once():
+    """A second outage cuts an incremental replay short; the next
+    reattach replays only what the client still lacks, so each op is
+    applied exactly once."""
+    sim, network, backend, clients = make_system(num_clients=2)
+    _outage(network, backend, clients[1])
+    processed = clients[1].replica.messages_processed
+    row_id = clients[0].replica.table.row_ids()[0]
+    for column, value in FILLS[:3]:
+        row_id = clients[0].fill(row_id, column, value)
+    sim.run()
+    assert clients[1].reconnect(backend) == "incremental"
+    assert sim.step()  # the first replayed message lands ...
+    assert clients[1].replica.messages_processed == processed + 1
+    _outage(network, backend, clients[1])  # ... the other two are lost
+    assert clients[1].reconnect(backend) == "incremental"
+    sim.run()
+    assert clients[1].replica.messages_processed == processed + 3
+    assert clients[1].snapshot() == backend.replica.snapshot()
+    assert backend.session("w1").resyncs_incremental == 2
+    assert backend.session("w1").sent_count == clients[1].messages_received

@@ -53,6 +53,8 @@ from repro.core import (
 from repro.core.messages import InsertMessage, ReplaceMessage, TraceRecord
 from repro.core.scoring import ThresholdScoring
 from repro.net import (
+    ConstantLatency,
+    DisconnectWindow,
     FaultInjector,
     FaultPlan,
     Network,
@@ -117,13 +119,15 @@ def _run_sharded_schedule(
     latency_seed: int,
     oplog_capacity: int = 512,
     plan: FaultPlan | None = None,
+    latency=None,
+    names: list[str] | None = None,
 ):
     """One full run: sharded rig, faults overlaid, ops driven, healed,
     drained to quiescence."""
     sim = Simulator()
     network = Network(
         sim,
-        default_latency=UniformLatency(0.01, 1.5),
+        default_latency=latency or UniformLatency(0.01, 1.5),
         streams=RngStreams(latency_seed),
         obs=Observability(),
     )
@@ -136,7 +140,8 @@ def _run_sharded_schedule(
         shards=n_shards,
         oplog_capacity=oplog_capacity,
     )
-    names = [f"c{i}" for i in range(num_clients)]
+    if names is None:
+        names = [f"c{i}" for i in range(num_clients)]
     clients: dict[str, WorkerClient] = {}
     rng_streams = RngStreams(latency_seed)
     for name in names:
@@ -281,6 +286,12 @@ def _assert_sharded_convergence(backend, clients, network):
 
     # Per-link conservation (includes the shard-to-shard links).
     network.check_accounting()
+    # Each attached client's session derives its sent count from the
+    # trace; it must equal what the client itself counted in.
+    for name, client in clients.items():
+        session = backend.session(name)
+        if session is not None and session.attached:
+            assert session.sent_count == client.messages_received
     # The obs exchange counters read each shard's own counters.
     metrics = network.obs.metrics
     for shard in backend.shards:
@@ -397,6 +408,49 @@ def test_sharded_full_stack_converges_through_partition_and_heal():
     )
     assert any(e.kind == "shard-partition" for e in injector.events)
     assert any(e.kind == "shard-heal" for e in injector.events)
+    _assert_sharded_convergence(backend, clients, network)
+
+
+def test_worker_gets_its_own_commit_back_after_a_rebase_while_detached():
+    """Regression (lost echo): a worker's own commit that reaches its
+    home shard after the worker's copy was rebased on a snapshot is
+    not in that snapshot, so the home shard must stream it back — also
+    when it arrives while the worker is detached, through the next
+    incremental resync.
+
+    ``c0`` (homed on shard 1) fills ``k`` on a row owned by shard 0 just
+    before a shard partition; an outage with a 1-entry op-log forces a
+    snapshot resync; the commit reaches shard 1 at the heal, during a
+    second outage; the resync after it is incremental.
+    """
+    groups = _shard_groups(2)
+    plan = FaultPlan(
+        disconnects=(
+            DisconnectWindow("c0", start=1.5, end=2.5),
+            DisconnectWindow("c0", start=3.0, end=6.0),
+        ),
+        shard_partitions=(ShardPartitionWindow(groups, start=1.05, end=5.0),),
+    )
+    # (at, client, kind, row pick, column pick, value pick)
+    schedule = [
+        (1.0, 0, "fill", 0, 0, 0),  # c0: k = "x"
+        (2.0, 1, "fill", 0, 1, 0),  # v9: a = 1 on the first row
+        (2.0, 1, "fill", 0, 1, 1),  # v9: a = 2 on the other (now first)
+    ]
+    backend, clients, injector, network = _run_sharded_schedule(
+        2, 2, schedule, 0, 0, oplog_capacity=1, plan=plan,
+        latency=ConstantLatency(0.1), names=["c0", "v9"],
+    )
+    assert backend.home_shard("c0").endpoint == shard_endpoint(1)
+    assert clients["c0"].resync_kinds == ["snapshot", "incremental"]
+    session = backend.session("c0")
+    assert (session.resyncs_snapshot, session.resyncs_incremental) == (1, 1)
+    primary = backend.primary.replica
+    assert clients["c0"].replica.snapshot() == primary.snapshot()
+    assert (
+        clients["c0"].replica.table.history_snapshot()
+        == primary.table.history_snapshot()
+    )
     _assert_sharded_convergence(backend, clients, network)
 
 
