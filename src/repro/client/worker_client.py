@@ -21,7 +21,9 @@ import random
 from typing import Any, Callable
 
 from repro.core.messages import (
+    InsertMessage,
     Message,
+    ReplaceMessage,
     UndoDownvoteMessage,
     UndoUpvoteMessage,
 )
@@ -105,9 +107,11 @@ class WorkerClient:
         """Network entry point: a broadcast from the server."""
         self.messages_received += 1
         self.replica.receive(payload)
-        if hasattr(payload, "old_id"):
+        if isinstance(payload, ReplaceMessage):
             self._note_replacement(payload.old_id, payload.new_id)
-        self._assign_order_keys()
+            self._assign_order_key(payload.new_id)
+        elif isinstance(payload, InsertMessage):
+            self._assign_order_key(payload.row_id)
         for listener in self._listeners:
             listener(payload)
 
@@ -233,6 +237,17 @@ class WorkerClient:
             return
         self.network.send(self.worker_id, SERVER_NAME, message)
 
+    def _assign_order_key(self, row_id: str) -> None:
+        """Key a row a received message created, if it is still unkeyed.
+
+        A received message creates at most one row, and no local path
+        leaves a row unkeyed (``fill`` keys its new row; ``modify``'s
+        inserted row is replaced at once), so this draws exactly what a
+        scan of every row would.
+        """
+        if row_id not in self._row_order_keys and row_id in self.replica.table:
+            self._row_order_keys[row_id] = self.rng.random()
+
     def _assign_order_keys(self) -> None:
         for row_id in self.replica.table.row_ids():
             if row_id not in self._row_order_keys:
@@ -298,6 +313,8 @@ class WorkerClient:
         self._send(message)
         self.actions_performed += 1
         self._note_replacement(row_id, message.new_id)
+        # The default is drawn on every fill, used or not: the stream's
+        # later draws (and so every same-seed replay) depend on it.
         self._row_order_keys[message.new_id] = self._row_order_keys.get(
             row_id, self.rng.random()
         )

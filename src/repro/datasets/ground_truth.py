@@ -23,6 +23,9 @@ class GroundTruth:
     def __init__(self, schema: Schema, rows: Iterable[RowValue]) -> None:
         self.schema = schema
         self.rows: list[RowValue] = list(rows)
+        # (key, row) for each row, parallel to ``rows``: a true row never
+        # changes, so its key is computed here once and read thereafter.
+        self._keyed: list[tuple[tuple, RowValue]] = []
         self._by_key: dict[tuple, RowValue] = {}
         # Postings index: (column, value) -> row indices.  Consistency
         # lookups are the hot path of every simulated worker decision.
@@ -35,6 +38,7 @@ class GroundTruth:
             if key in self._by_key:
                 raise ValueError(f"duplicate ground-truth key: {key}")
             self._by_key[key] = row
+            self._keyed.append((key, row))
             for column, value in row.items():
                 self._postings.setdefault((column, value), []).append(index)
 
@@ -50,30 +54,42 @@ class GroundTruth:
 
     def keys(self) -> list[tuple]:
         """All primary keys, in row order."""
-        return [row.key(self.schema.key_columns) for row in self.rows]  # type: ignore[misc]
+        return [key for key, _ in self._keyed]
 
     def lookup_consistent(self, partial: RowValue) -> list[RowValue]:
         """True rows whose values are consistent with *partial*.
 
         A simulated worker uses this to decide which entity a partially
-        filled row refers to.  Uses the postings index: the candidate
-        set is the smallest posting among the filled cells.
+        filled row refers to.
         """
+        rows = self.rows
+        return [rows[index] for index in self._consistent_indices(partial)]
+
+    def lookup_consistent_keyed(
+        self, partial: RowValue
+    ) -> list[tuple[tuple, RowValue]]:
+        """(key, true row) for every true row consistent with *partial*,
+        in row order — :meth:`lookup_consistent` with the precomputed
+        keys alongside, so callers never re-derive a true row's key."""
+        keyed = self._keyed
+        return [keyed[index] for index in self._consistent_indices(partial)]
+
+    def _consistent_indices(self, partial: RowValue) -> Sequence[int]:
+        """Indices of the true rows consistent with *partial*.  Uses the
+        postings index: the candidate set is the smallest posting among
+        the filled cells."""
         if partial.is_empty:
-            return list(self.rows)
+            return range(len(self.rows))
         smallest: list[int] | None = None
         for column, value in partial.items():
             posting = self._postings.get((column, value))
             if posting is None:
-                return []
+                return ()
             if smallest is None or len(posting) < len(smallest):
                 smallest = posting
         assert smallest is not None
-        return [
-            self.rows[index]
-            for index in smallest
-            if self.rows[index].subsumes(partial)
-        ]
+        rows = self.rows
+        return [index for index in smallest if rows[index].subsumes(partial)]
 
     def is_consistent(self, partial: RowValue) -> bool:
         """Is *partial* a sub-row of some true row?"""

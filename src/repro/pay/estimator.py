@@ -10,7 +10,9 @@ direct and indirect shares.  The estimator tracks, per the paper:
   count with f(u_min, 0) > 0 — and growing as probable rows accumulate
   extra upvotes;
 - |D| as the count of downvotes so far consistent with all currently
-  probable rows;
+  probable rows (streamed: per distinct downvoted value, the number of
+  probable rows subsuming it is kept current from the table's
+  probable-set delta, so a record costs what changed, not a rescan);
 - column and vote weights starting uniform and converging to the
   median generation times of messages contributing to the current
   probable rows (column-weighted scheme);
@@ -115,8 +117,19 @@ class CompensationEstimator:
         }
         self._upvote_samples: list[float] = []
         self._downvote_samples: list[float] = []
-        # Downvotes seen so far (value, seq) for the |D| estimate.
-        self._downvotes_seen: list[RowValue] = []
+        # |D| bookkeeping: how often each distinct value was downvoted,
+        # how many probable rows of the tracked table subsume it, and the
+        # number of downvotes no probable row subsumes (|D| itself).
+        self._downvote_counts: dict[RowValue, int] = {}
+        self._cover: dict[RowValue, int] = {}
+        self._uncovered_downvotes = 0
+        # The table on_record streams from, this estimator's own cursor
+        # over its probable-set changes, and the probable values it saw.
+        self._table: CandidateTable | None = None
+        self._probable_token = 0
+        self._probable_values: dict[str, RowValue] = {}
+        # Running per-worker estimate totals, added in record order.
+        self._totals: dict[str, float] = {}
         # Generation times of each key column's first entries (z fits).
         self._key_completion_times: dict[str, list[float]] = {
             c: [] for c in schema.key_columns
@@ -127,9 +140,12 @@ class CompensationEstimator:
     def on_record(self, record: TraceRecord, table: CandidateTable) -> float:
         """Ingest one worker message; returns the estimate shown for it."""
         generation_time = self.ledger.note(record)
+        self._sync_cover(table)
         probable = probable_rows(table)
         self._learn(record, generation_time, probable)
         amount, kind = self._estimate_for(record, probable)
+        worker_id = record.worker_id
+        self._totals[worker_id] = self._totals.get(worker_id, 0.0) + amount
         self.records.append(
             EstimateRecord(
                 seq=record.seq,
@@ -146,20 +162,13 @@ class CompensationEstimator:
 
     def estimated_totals(self) -> dict[str, float]:
         """Per-worker raw estimate totals (for snapshot sampling)."""
-        totals: dict[str, float] = {}
-        for record in self.records:
-            totals[record.worker_id] = (
-                totals.get(record.worker_id, 0.0) + record.amount
-            )
-        return totals
+        return dict(self._totals)
 
     # -- reading back -----------------------------------------------------------
 
     def raw_total(self, worker_id: str) -> float:
         """Sum of estimates shown to *worker_id* (Figure 5, middle bars)."""
-        return sum(
-            r.amount for r in self.records if r.worker_id == worker_id
-        )
+        return self._totals.get(worker_id, 0)
 
     def corrected_total(self, worker_id: str, contributing_seqs: set[int]) -> float:
         """Estimates only for actions that contributed (right bars)."""
@@ -189,15 +198,19 @@ class CompensationEstimator:
         that number: the current full-cell estimate for a first entry
         into each column.
         """
-        by_column, _, _, unit = self._weights_and_unit(probable_rows(table))
+        probable = probable_rows(table)
+        by_column, _, _, unit = self._weights_and_unit(
+            probable, self._downvotes_for(table, probable)
+        )
         if unit is None:
             return {c: 0.0 for c in self.schema.column_names}
         return {c: by_column[c] * unit for c in self.schema.column_names}
 
     def current_vote_estimates(self, table: CandidateTable) -> tuple[float, float]:
         """(upvote, downvote) estimates shown next to the vote icons."""
+        probable = probable_rows(table)
         _, upvote_w, downvote_w, unit = self._weights_and_unit(
-            probable_rows(table)
+            probable, self._downvotes_for(table, probable)
         )
         if unit is None:
             return 0.0, 0.0
@@ -239,11 +252,17 @@ class CompensationEstimator:
             ):
                 self._upvote_samples.append(generation_time)
         elif isinstance(message, DownvoteMessage):
-            self._downvotes_seen.append(message.value)
-            if generation_time is not None and not any(
-                row.value.subsumes(message.value) for row in probable
-            ):
-                self._downvote_samples.append(generation_time)
+            value = message.value
+            seen = self._downvote_counts.get(value, 0)
+            self._downvote_counts[value] = seen + 1
+            if not seen:
+                self._cover[value] = sum(
+                    1 for row in probable if row.value.subsumes(value)
+                )
+            if not self._cover[value]:
+                self._uncovered_downvotes += 1
+                if generation_time is not None:
+                    self._downvote_samples.append(generation_time)
 
     def _appears_in_probable(self, column: str, value: Any, probable: list) -> bool:
         return any(
@@ -302,10 +321,11 @@ class CompensationEstimator:
         return fit_z(times)
 
     def _weights_and_unit(
-        self, probable: list
+        self, probable: list, downvotes: int
     ) -> tuple[dict[str, float], float, float, float | None]:
         """Current weights and the budget per unit of weight (None when
-        the expected total weight is not positive)."""
+        the expected total weight is not positive), given the probable
+        rows and the |D| estimate for them."""
         by_column, upvote_w, downvote_w = self._current_weights()
         total_weight = (
             sum(
@@ -313,7 +333,7 @@ class CompensationEstimator:
                 for c in self.schema.column_names
             )
             + upvote_w * self._estimate_u(probable)
-            + downvote_w * self._estimate_d(probable)
+            + downvote_w * downvotes
         )
         if total_weight <= 0:
             return by_column, upvote_w, downvote_w, None
@@ -323,7 +343,9 @@ class CompensationEstimator:
         self, record: TraceRecord, probable: list
     ) -> tuple[float, str]:
         message = record.message
-        by_column, upvote_w, downvote_w, unit = self._weights_and_unit(probable)
+        by_column, upvote_w, downvote_w, unit = self._weights_and_unit(
+            probable, self._uncovered_downvotes
+        )
         if unit is None:
             return 0.0, self._kind(message)
 
@@ -372,12 +394,68 @@ class CompensationEstimator:
         extra = sum(max(0, row.upvotes - self.u_min) for row in probable)
         return base + extra
 
-    def _estimate_d(self, probable: list) -> float:
-        count = 0
-        for value in self._downvotes_seen:
-            if not any(row.value.subsumes(value) for row in probable):
-                count += 1
-        return count
+    def _estimate_d(self, probable: list) -> int:
+        """|D| for *probable* by rescan: the downvotes no probable row
+        subsumes.  For a table other than the streamed one."""
+        return sum(
+            times
+            for value, times in self._downvote_counts.items()
+            if not any(row.value.subsumes(value) for row in probable)
+        )
+
+    def _downvotes_for(self, table: CandidateTable, probable: list) -> int:
+        """|D| for *table*: streamed when it is the tracked table."""
+        if table is self._table:
+            self._sync_cover(table)
+            return self._uncovered_downvotes
+        return self._estimate_d(probable)
+
+    def _sync_cover(self, table: CandidateTable) -> None:
+        """Bring the per-downvote cover counts up to *table*'s current
+        probable set, from this estimator's own probable-delta cursor.
+
+        A first drain (or a journal overflow) reports ``full``: the
+        counts are then rebuilt from the probable set.  A new table
+        (e.g. the master rebuilt on recovery) gets a new cursor.
+        """
+        if table is not self._table:
+            self._table = table
+            self._probable_token = table.register_probable_consumer()
+        added, removed_ids, full = table.drain_probable_delta(
+            self._probable_token
+        )
+        values = self._probable_values
+        if full:
+            values.clear()
+            for row in table.probable_rows():
+                values[row.row_id] = row.value
+            self._cover = {
+                value: sum(1 for row in values.values() if row.subsumes(value))
+                for value in self._downvote_counts
+            }
+            self._uncovered_downvotes = sum(
+                times
+                for value, times in self._downvote_counts.items()
+                if not self._cover[value]
+            )
+            return
+        for row_id in removed_ids:
+            self._shift_cover(values.pop(row_id), -1)
+        for row in added:
+            values[row.row_id] = row.value
+            self._shift_cover(row.value, 1)
+
+    def _shift_cover(self, probable_value: RowValue, step: int) -> None:
+        """A probable row with *probable_value* joined (+1) or left (-1)."""
+        cover = self._cover
+        for value, times in self._downvote_counts.items():
+            if probable_value.subsumes(value):
+                before = cover[value]
+                cover[value] = before + step
+                if not before:
+                    self._uncovered_downvotes -= times
+                elif not cover[value]:
+                    self._uncovered_downvotes += times
 
     def _kind(self, message: Any) -> str:
         return message.to_dict()["type"]

@@ -69,6 +69,15 @@ class DiligentPolicy:
         # this memo an idle worker re-rolls its judgement-error dice
         # every cycle and a 5% error rate compounds into certainty.
         self._verdicts: dict[str, str] = {}
+        # Per-value caches.  A RowValue is immutable and so is the
+        # worker's knowledge, so what a value means to this worker is
+        # worked out once: the known entities consistent with it (with
+        # their precomputed keys), and the value's completed key and
+        # started-entity signatures for the decision-wide key sets.
+        self._consistent: dict[RowValue, list[tuple[tuple, RowValue]]] = {}
+        self._key_facts: dict[
+            RowValue, tuple[tuple | None, tuple[tuple, ...]]
+        ] = {}
 
     def choose(self, client: WorkerClient, rng: random.Random) -> Action:
         rows = client.visible_rows()
@@ -93,11 +102,7 @@ class DiligentPolicy:
         worker's knowledge at a specific recommended row.
         """
         return self._fill_for_row(
-            client.schema,
-            row,
-            rng,
-            self._completed_keys(client),
-            self._started_key_signatures(client),
+            client.schema, row, rng, _FillDecision(self, client)
         )
 
     def note_fill(self, client: WorkerClient, new_row_id: str) -> None:
@@ -191,20 +196,16 @@ class DiligentPolicy:
         self, client: WorkerClient, rows: list[Row], rng: random.Random
     ) -> Action | None:
         schema = client.schema
-        completed_keys = self._completed_keys(client)
-        started = self._started_key_signatures(client)
+        columns = schema.column_names
+        decision = _FillDecision(self, client)
 
         # First choice: continue the row this worker is already filling.
         # Each worker working "their" row is what keeps concurrent
         # workers from colliding on the same cell.
         if self._focus_row_id is not None:
             focus = client.row(self._focus_row_id)
-            if focus is not None and not focus.value.is_complete(
-                schema.column_names
-            ):
-                action = self._fill_for_row(
-                    schema, focus, rng, completed_keys, started
-                )
+            if focus is not None and not focus.value.is_complete(columns):
+                action = self._fill_for_row(schema, focus, rng, decision)
                 if action is not None:
                     return action
             self._focus_row_id = None
@@ -217,18 +218,17 @@ class DiligentPolicy:
         fresh: list[FillAction] = []
         fallback: FillAction | None = None
         for row in rows:
-            if row.value.is_complete(schema.column_names):
+            if row.value.is_complete(columns):
                 continue
-            action = self._fill_for_row(schema, row, rng, completed_keys, started)
+            action = self._fill_for_row(schema, row, rng, decision)
             if action is None:
                 continue
             key = row.value.key(schema.key_columns)
-            if key is not None and key in completed_keys:
+            if key is not None and key in decision.key_sets()[0]:
                 fallback = fallback or action
                 continue
-            pins_entity = any(
-                column in row.value.filled_columns()
-                for column in schema.key_columns
+            pins_entity = not row.value.filled_columns().isdisjoint(
+                schema.key_columns
             )
             if pins_entity:
                 identified.append(action)
@@ -247,17 +247,15 @@ class DiligentPolicy:
         schema: Schema,
         row: Row,
         rng: random.Random,
-        completed_keys: set[tuple],
-        started: set[tuple],
+        decision: "_FillDecision",
     ) -> FillAction | None:
-        consistent = self.knowledge.lookup_consistent(row.value)
+        consistent = self._consistent_with(row.value)
         if not consistent:
             return None  # cannot help with this row
-        if len(consistent) == 1 and any(
-            column in row.value.filled_columns()
-            for column in schema.key_columns
+        if len(consistent) == 1 and not row.value.filled_columns().isdisjoint(
+            schema.key_columns
         ):
-            entity = consistent[0]
+            entity = consistent[0][1]
         else:
             # The row does not pin a unique entity yet (empty row, only
             # non-key constraints, or an ambiguous key like a city name
@@ -265,19 +263,21 @@ class DiligentPolicy:
             # nobody has started, but fall back to any consistent,
             # not-yet-completed one — an ambiguous row someone began
             # must still be completable, or it wedges its template slot.
-            unstarted = [
-                candidate
-                for candidate in consistent
-                if self._signature(schema, candidate) not in started
-                and candidate.key(schema.key_columns) not in completed_keys
-            ]
+            completed_keys, started = decision.key_sets()
+            unstarted = decision.unstarted.get(row.value)
+            if unstarted is None:
+                unstarted = decision.unstarted[row.value] = [
+                    candidate
+                    for key, candidate in consistent
+                    if key not in started and key not in completed_keys
+                ]
             if unstarted:
                 entity = rng.choice(unstarted)
             elif not row.value.is_empty:
                 viable = [
                     candidate
-                    for candidate in consistent
-                    if candidate.key(schema.key_columns) not in completed_keys
+                    for key, candidate in consistent
+                    if key not in completed_keys
                 ]
                 if not viable:
                     return None
@@ -302,38 +302,94 @@ class DiligentPolicy:
                 return column
         return missing[0] if missing else None
 
-    def _completed_keys(self, client: WorkerClient) -> set[tuple]:
-        schema = client.schema
-        return {
-            key
-            for row in client.replica.table.rows()
-            if row.value.is_complete(schema.column_names)
-            and (key := row.value.key(schema.key_columns)) is not None
-        }
+    def _consistent_with(self, value: RowValue) -> list[tuple[tuple, RowValue]]:
+        """(key, entity) for the known entities consistent with *value*."""
+        consistent = self._consistent.get(value)
+        if consistent is None:
+            consistent = self._consistent[value] = (
+                self.knowledge.lookup_consistent_keyed(value)
+            )
+        return consistent
 
-    def _started_key_signatures(self, client: WorkerClient) -> set[tuple]:
-        """Partial key signatures already visible in the table.
+    def _key_sets(self, client: WorkerClient) -> tuple[set[tuple], set[tuple]]:
+        """(keys of complete rows, started-entity signatures) of the
+        client's table.
 
         An entity counts as "started" when some row's filled key
         columns all match it — workers avoid duplicating an in-progress
-        entity, the transparency advantage of table-filling.
+        entity, the transparency advantage of table-filling.  Both sets
+        are unions of per-value facts, each computed once per value.
         """
         schema = client.schema
-        signatures: set[tuple] = set()
-        for row in client.replica.table.rows():
-            filled = row.value.filled_columns()
-            key_filled = [c for c in schema.key_columns if c in filled]
-            if key_filled:
-                for entity in self.knowledge.lookup_consistent(
-                    RowValue({c: row.value[c] for c in key_filled})
-                ):
-                    signatures.add(self._signature(schema, entity))
-        return signatures
+        completed: set[tuple] = set()
+        started: set[tuple] = set()
+        facts_of = self._key_facts
+        table = client.replica.table
+        for row in table.rows():
+            facts = facts_of.get(row.value)
+            if facts is None:
+                facts = facts_of[row.value] = self._value_key_facts(
+                    schema, row.value
+                )
+            completed_key, signatures = facts
+            if completed_key is not None:
+                completed.add(completed_key)
+            if signatures:
+                started.update(signatures)
+        if len(facts_of) > 1.25 * len(table):
+            # Replaced rows leave the table: drop what their values
+            # cached, so the caches grow with the table, not its history.
+            present = {row.value: facts_of[row.value] for row in table.rows()}
+            self._key_facts = present
+            self._consistent = {
+                value: consistent
+                for value, consistent in self._consistent.items()
+                if value in present
+            }
+        return completed, started
 
-    def _signature(self, schema: Schema, entity: RowValue) -> tuple:
-        key = entity.key(schema.key_columns)
-        assert key is not None
-        return key
+    def _value_key_facts(
+        self, schema: Schema, value: RowValue
+    ) -> tuple[tuple | None, tuple[tuple, ...]]:
+        """*value*'s key when the value is complete (else None), and the
+        keys of the known entities its filled key columns match."""
+        completed_key = (
+            value.key(schema.key_columns)
+            if value.is_complete(schema.column_names)
+            else None
+        )
+        filled = value.filled_columns()
+        key_filled = [c for c in schema.key_columns if c in filled]
+        if not key_filled:
+            return completed_key, ()
+        partial = RowValue({c: value[c] for c in key_filled})
+        return completed_key, tuple(
+            key for key, _ in self._consistent_with(partial)
+        )
+
+
+class _FillDecision:
+    """One fill decision's view of the client table.
+
+    The table does not change within a decision, so its completed and
+    started key sets are built at most once — and only if a row needs
+    them (continuing a row that pins its entity does not) — and rows
+    sharing a value (every empty row, say) share one ``unstarted`` list.
+    """
+
+    __slots__ = ("_policy", "_client", "_key_sets", "unstarted")
+
+    def __init__(self, policy: DiligentPolicy, client: WorkerClient) -> None:
+        self._policy = policy
+        self._client = client
+        self._key_sets: tuple[set[tuple], set[tuple]] | None = None
+        self.unstarted: dict[RowValue, list[RowValue]] = {}
+
+    def key_sets(self) -> tuple[set[tuple], set[tuple]]:
+        """(keys of complete rows, started-entity signatures)."""
+        if self._key_sets is None:
+            self._key_sets = self._policy._key_sets(self._client)
+        return self._key_sets
 
 
 class GuidedPolicy:

@@ -222,3 +222,99 @@ def test_dual_scheme_key_weight_adjustment_none_without_slowdown():
     # Constant cadence: z stays 0, no position spread between key fills
     # beyond weight-learning drift.
     assert estimator._estimated_z("name") == 0.0
+
+
+def rescan_d(downvotes, probable):
+    """|D| by the original full rescan: every downvote seen, against
+    every probable row.  The oracle for the streamed count."""
+    count = 0
+    for value in downvotes:
+        if not any(row.value.subsumes(value) for row in probable):
+            count += 1
+    return count
+
+
+def test_streamed_d_tracks_repeats_and_lost_cover():
+    """A value downvoted twice counts twice, and losing the only
+    probable row that covered it uncovers every one of its downvotes."""
+    from repro.constraints.probable import probable_rows
+
+    estimator = make_estimator()
+    feed = Feed(estimator)
+    row = feed.cc_insert()
+    row, _ = feed.fill("w1", row, "nationality", "Brazil", 1.0)
+    brazil = RowValue({"nationality": "Brazil"})
+    seen = []
+
+    def downvote(worker, value, at):
+        seen.append(value)
+        feed.feed(worker, DownvoteMessage(value=value), at)
+        probable = probable_rows(feed.master.table)
+        assert estimator._uncovered_downvotes == rescan_d(seen, probable)
+        return estimator._uncovered_downvotes
+
+    # The Brazil row is probable and covers the first downvote.
+    assert downvote("w2", brazil, 2.0) == 0
+    # The second downvote pushes the row's score negative: the only
+    # probable row covering the value leaves the probable set.
+    assert downvote("w3", brazil, 3.0) == 2
+    assert not feed.master.table.is_row_probable(row)
+    assert downvote("w4", RowValue({"name": "Zzz"}), 4.0) == 3
+    assert downvote("w5", RowValue({"position": "FW"}), 5.0) == 4
+    # A new probable row subsuming {position: FW} covers that downvote.
+    fresh = feed.cc_insert()
+    fresh, _ = feed.fill("w6", fresh, "position", "FW", 6.0)
+    assert feed.master.table.is_row_probable(fresh)
+    assert estimator._uncovered_downvotes == 3
+    assert rescan_d(seen, probable_rows(feed.master.table)) == 3
+
+
+def test_streamed_d_rebuilds_for_a_new_table():
+    """Streaming from another table object starts a fresh cursor whose
+    first (full) drain rebuilds the cover counts from that table."""
+    from repro.constraints.probable import probable_rows
+
+    estimator = make_estimator()
+    feed = Feed(estimator)
+    row = feed.cc_insert()
+    row, _ = feed.fill("w1", row, "nationality", "Brazil", 1.0)
+    feed.feed("w2", DownvoteMessage(value=RowValue({"name": "Zzz"})), 2.0)
+    assert estimator._uncovered_downvotes == 1
+    other = Replica("other", SCHEMA, ThresholdScoring(2))
+    record = TraceRecord(
+        seq=99, timestamp=3.0, worker_id="w3",
+        message=DownvoteMessage(value=RowValue({"nationality": "Chile"})),
+    )
+    estimator.on_record(record, other.table)
+    # No probable rows at all in the other table: both downvotes count.
+    assert probable_rows(other.table) == []
+    assert estimator._uncovered_downvotes == 2
+    # Reading estimates for a table that is not streamed rescans it.
+    up, down = estimator.current_vote_estimates(feed.master.table)
+    assert up > 0 and down > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_streamed_d_equals_rescan_at_every_record(monkeypatch, seed):
+    """At every streamed record of a whole collection, the streamed |D|
+    equals the original rescan of every downvote against the master
+    table's probable rows."""
+    from repro.constraints.probable import probable_rows
+    from repro.experiments.harness import CrowdFillExperiment, ExperimentConfig
+
+    original = CompensationEstimator.on_record
+    seen = []
+    checked = []
+
+    def on_record(self, record, table):
+        if isinstance(record.message, DownvoteMessage):
+            seen.append(record.message.value)
+        amount = original(self, record, table)
+        expected = rescan_d(seen, probable_rows(table))
+        assert self._uncovered_downvotes == expected, record.seq
+        checked.append(expected)
+        return amount
+
+    monkeypatch.setattr(CompensationEstimator, "on_record", on_record)
+    CrowdFillExperiment(ExperimentConfig(seed=seed)).run()
+    assert checked and seen

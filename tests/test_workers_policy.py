@@ -282,3 +282,46 @@ class TestErrorInjection:
     def test_single_member_domain_falls_back(self):
         column = Column("only", domain=frozenset({"x"}))
         assert corrupt_value(random.Random(0), column, "x") == "x"
+
+
+def _key_calls_per_decision(monkeypatch, universe_size):
+    """Mean ``RowValue.key`` calls made inside ``DiligentPolicy.choose``
+    per decision, over one whole collection."""
+    from repro.core.row import RowValue
+    from repro.experiments.harness import CrowdFillExperiment, ExperimentConfig
+
+    original_key = RowValue.key
+    original_choose = DiligentPolicy.choose
+    counts = {"calls": 0, "decisions": 0, "inside": False}
+
+    def key(self, key_columns):
+        if counts["inside"]:
+            counts["calls"] += 1
+        return original_key(self, key_columns)
+
+    def choose(self, client, rng):
+        counts["decisions"] += 1
+        counts["inside"] = True
+        try:
+            return original_choose(self, client, rng)
+        finally:
+            counts["inside"] = False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RowValue, "key", key)
+        patch.setattr(DiligentPolicy, "choose", choose)
+        config = ExperimentConfig(
+            seed=3, num_workers=10, target_rows=30, universe_size=universe_size
+        )
+        CrowdFillExperiment(config).run()
+    assert counts["decisions"] > 0
+    return counts["calls"] / counts["decisions"]
+
+
+def test_decision_key_work_does_not_grow_with_knowledge(monkeypatch):
+    """A worker's decision derives keys for the table's rows, never for
+    every entity it knows: quadrupling the universe (and so each
+    worker's knowledge) leaves the per-decision key work flat."""
+    small = _key_calls_per_decision(monkeypatch, 300)
+    large = _key_calls_per_decision(monkeypatch, 1200)
+    assert large <= 1.25 * small, (small, large)
