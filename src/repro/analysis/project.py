@@ -82,7 +82,6 @@ class ModuleInfo:
     tree: ast.Module
     source: str
 
-    lines: list[str] = field(default_factory=list)
     classes: dict[str, ast.ClassDef] = field(default_factory=dict)
     functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: local alias -> fully dotted target ("pkg.mod" or "pkg.mod.Symbol").
@@ -93,7 +92,6 @@ class ModuleInfo:
     module_mutables: dict[str, ast.stmt] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.lines = self.source.splitlines()
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = node
@@ -155,13 +153,10 @@ class Project:
 
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self.by_path: dict[Path, ModuleInfo] = {}
         for info in modules:
             # First definition of a dotted name wins; files outside any
-            # package can collide on bare stems, which is harmless for
-            # the path-keyed consumers.
+            # package can collide on bare stems.
             self.modules.setdefault(info.name, info)
-            self.by_path[info.path.resolve()] = info
         self.types = TypeEngine(self)
         self._import_graph: dict[str, set[str]] | None = None
 
@@ -188,9 +183,6 @@ class Project:
 
     def module(self, name: str) -> ModuleInfo | None:
         return self.modules.get(name)
-
-    def module_at(self, path: Path) -> ModuleInfo | None:
-        return self.by_path.get(Path(path).resolve())
 
     def find_module(self, suffix: str) -> ModuleInfo | None:
         """The unique module whose dotted name ends with *suffix*."""

@@ -87,7 +87,6 @@ class WorkerClient:
         self._connected = True
         self._outbox: list[Message] = []
         self.messages_received = 0
-        self.disconnect_count = 0
         self.resync_kinds: list[str] = []
         network.register(worker_id, self)
 
@@ -137,7 +136,6 @@ class WorkerClient:
         if not self._connected:
             return
         self._connected = False
-        self.disconnect_count += 1
 
     def requeue_unsent(self, messages: list[Message]) -> None:
         """Hand back messages purged from the wire mid-flight.

@@ -43,10 +43,6 @@ class IncrementalMatching:
     def right_nodes(self) -> frozenset:
         return frozenset(self._right)
 
-    def edges_of(self, left: Hashable) -> frozenset:
-        """Right nodes adjacent to *left*."""
-        return frozenset(self._edges.get(left, ()))
-
     def add_left(self, left: Hashable, neighbors: Iterable[Hashable] = ()) -> None:
         """Add a template row with edges to existing right nodes."""
         if left in self._left:

@@ -74,10 +74,6 @@ class ValueInterner:
         """The value-vector behind id *vid*."""
         return self._values[vid]
 
-    def cell_id(self, cell: Cell) -> int | None:
-        """The id of a (column, value) cell if interned, else None."""
-        return self._cid_of.get(cell)
-
     def cell_ids(self, vid: int) -> tuple[int, ...]:
         """Cell ids of the value behind *vid*, in column-sorted order."""
         return self._cell_ids[vid]

@@ -47,7 +47,7 @@ callers can keep per-message reaction semantics while skipping the
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.core.intern import ValueInterner
 from repro.core.row import EMPTY_VALUE, Row, RowValue
@@ -660,16 +660,6 @@ class CandidateTable:
             journal.clear()
             for token in offsets:
                 offsets[token] = 0
-
-    def refresh_derived(self) -> None:
-        """Refresh the probable/final views now (public epoch barrier).
-
-        After this returns, :attr:`probable_epoch` / :attr:`final_epoch`
-        reflect every message applied so far; callers snapshot the
-        counters around a message (or batch) to learn whether the views
-        actually changed.
-        """
-        self._refresh_derived()
 
     # -- batched application ---------------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.sim import RngStreams
 from repro.workers import (
     CopierPolicy,
     DiligentPolicy,
-    SimulatedWorker,
     SpammerPolicy,
     WorkerProfile,
 )

@@ -73,12 +73,6 @@ class QualityReport:
         majority = self.point(2, fill_accuracy)
         return abs(majority.accuracy - solo.accuracy) <= tolerance
 
-    def verification_costs_votes(self, fill_accuracy: float) -> bool:
-        """Does majority voting require more contributing votes here?"""
-        solo = self.point(1, fill_accuracy)
-        majority = self.point(2, fill_accuracy)
-        return majority.contributing_votes >= solo.contributing_votes
-
     def format_table(self) -> str:
         lines = [
             f"A9: cost-latency-quality trade-off (seed {self.seed})",

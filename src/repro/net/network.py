@@ -11,11 +11,13 @@ Socket.IO transport of the paper's implementation.
 from __future__ import annotations
 
 import random
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.sim import RngStreams, Simulator
+from repro.sim.events import Event, Member
 
 if TYPE_CHECKING:
     from repro.obs import NullObservability, Observability
@@ -43,22 +45,13 @@ class NetworkStats:
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    per_link_sent: dict[tuple[str, str], int] = field(default_factory=dict)
-    per_link_delivered: dict[tuple[str, str], int] = field(default_factory=dict)
-    per_link_dropped: dict[tuple[str, str], int] = field(default_factory=dict)
+    per_link_sent: Counter[tuple[str, str]] = field(default_factory=Counter)
+    per_link_delivered: Counter[tuple[str, str]] = field(default_factory=Counter)
+    per_link_dropped: Counter[tuple[str, str]] = field(default_factory=Counter)
 
     @property
     def in_flight(self) -> int:
         return self.messages_sent - self.messages_delivered - self.messages_dropped
-
-    def link_in_flight(self, source: str, destination: str) -> int:
-        """Messages currently on the wire of one directed link."""
-        key = (source, destination)
-        return (
-            self.per_link_sent.get(key, 0)
-            - self.per_link_delivered.get(key, 0)
-            - self.per_link_dropped.get(key, 0)
-        )
 
 
 @runtime_checkable
@@ -102,10 +95,9 @@ class _Channel:
         self.latency = latency
         self.rng = rng
         self.last_delivery_time = 0.0
-        self.in_flight = 0
-        # FIFO of (event, payload) for deliveries not yet fired; lets a
-        # fault purge the wire when an endpoint's connection breaks.
-        self.pending: list[tuple[Any, Any]] = []
+        # FIFO of (event or group Member, payload) for deliveries not yet
+        # fired; lets a fault purge the wire when a connection breaks.
+        self.pending: deque[tuple[Event | Member, Any]] = deque()
 
 
 class Network:
@@ -200,8 +192,8 @@ class Network:
         self, source: str, destination: str, latency: LatencyModel
     ) -> None:
         """Override the latency model for one directed link."""
-        self._link_latency[(source, destination)] = latency
         key = (source, destination)
+        self._link_latency[key] = latency
         if key in self._channels:
             self._channels[key].latency = latency
 
@@ -211,10 +203,6 @@ class Network:
         Raises:
             KeyError: if either endpoint is unknown.
         """
-        if source not in self._endpoints:
-            raise KeyError(f"unknown source endpoint: {source!r}")
-        if destination not in self._endpoints:
-            raise KeyError(f"unknown destination endpoint: {destination!r}")
         self._send_each(source, (destination,), payload)
 
     def broadcast(
@@ -231,36 +219,35 @@ class Network:
         Raises:
             KeyError: if the source or any destination is unknown.
         """
-        if source not in self._endpoints:
-            raise KeyError(f"unknown source endpoint: {source!r}")
-        for destination in destinations:
-            if destination not in self._endpoints:
-                raise KeyError(
-                    f"unknown destination endpoint: {destination!r}"
-                )
         self._send_each(source, destinations, payload)
 
     def _send_each(
         self, source: str, destinations: Sequence[str], payload: Any
     ) -> None:
-        """The one per-destination send path: count, fault-filter,
-        delay and schedule *payload* on each link in order (endpoints
-        already validated)."""
+        """The one send path: check every endpoint, then count, fault-filter,
+        delay and schedule *payload* on each link in order; recipients with
+        one shared delivery time share one heap entry, in the same order."""
+        if source not in self._endpoints:
+            raise KeyError(f"unknown source endpoint: {source!r}")
+        for destination in destinations:
+            if destination not in self._endpoints:
+                raise KeyError(f"unknown destination endpoint: {destination!r}")
         stats = self.stats
         obs = self.obs
         fault_filter = self._fault_filter
+        now = self.sim.now
+        channels: list[_Channel] = []
+        times: list[float] = []
         for destination in destinations:
             stats.messages_sent += 1
             key = (source, destination)
-            stats.per_link_sent[key] = stats.per_link_sent.get(key, 0) + 1
+            stats.per_link_sent[key] += 1
             channel = self._channel(source, destination)
             factor = 1.0
             if fault_filter is not None:
                 if fault_filter.should_drop(source, destination):
                     stats.messages_dropped += 1
-                    stats.per_link_dropped[key] = (
-                        stats.per_link_dropped.get(key, 0) + 1
-                    )
+                    stats.per_link_dropped[key] += 1
                     if obs.enabled:
                         obs.event(
                             "net.drop",
@@ -273,16 +260,26 @@ class Network:
             delay = channel.latency.sample(channel.rng) * factor
             if obs.enabled:
                 obs.observe("net.latency_seconds", delay)
-            deliver_at = max(self.sim.now + delay, channel.last_delivery_time)
+            deliver_at = max(now + delay, channel.last_delivery_time)
             channel.last_delivery_time = deliver_at
-            channel.in_flight += 1
-            event = self.sim.schedule_at(
-                deliver_at,
-                lambda channel=channel, destination=destination: self._deliver(
-                    channel, source, destination, payload
+            channels.append(channel)
+            times.append(deliver_at)
+        handles: list[Event] | list[Member]
+        if len(times) > 1 and times.count(times[0]) == len(times):
+            handles = self.sim.schedule_group_at(
+                times[0], len(times), lambda i: self._deliver(
+                    channels[i], source, channels[i].destination, payload
                 ),
             )
-            channel.pending.append((event, payload))
+        else:
+            handles = [
+                self.sim.schedule_at(at, lambda channel=channel: self._deliver(
+                    channel, source, channel.destination, payload
+                ))
+                for channel, at in zip(channels, times)
+            ]
+        for channel, handle in zip(channels, handles):
+            channel.pending.append((handle, payload))
 
     def drop_in_flight(self, endpoint: str) -> list[DroppedMessage]:
         """Purge every undelivered message to or from *endpoint*.
@@ -292,17 +289,9 @@ class Network:
         by scheduled delivery) so a caller may requeue outbound ones
         into a client's resend buffer.
         """
-        channels = [
-            channel
-            for _, channel in sorted(self._channels.items())
-            if endpoint in (channel.source, channel.destination)
-        ]
-        purged = self._purge_channels(channels)
-        if purged and self.obs.enabled:
-            self.obs.event(
-                "net.purge", endpoint=endpoint, purged=len(purged)
-            )
-        return purged
+        return self._purge(
+            lambda key: endpoint in key, "net.purge", endpoint=endpoint
+        )
 
     def drop_in_flight_links(
         self, links: list[tuple[str, str]]
@@ -316,45 +305,31 @@ class Network:
         in-flight traffic.
         """
         wanted = set(links)
-        channels = [
-            channel
-            for key, channel in sorted(self._channels.items())
-            if key in wanted
-        ]
-        purged = self._purge_channels(channels)
-        if purged and self.obs.enabled:
-            self.obs.event(
-                "net.purge_links", links=len(wanted), purged=len(purged)
-            )
-        return purged
+        return self._purge(
+            wanted.__contains__, "net.purge_links", links=len(wanted)
+        )
 
-    def _purge_channels(self, channels: list[_Channel]) -> list[DroppedMessage]:
-        """Cancel and account every pending delivery on *channels*."""
-        purged: list[tuple[Any, DroppedMessage]] = []
-        per_link_dropped = self.stats.per_link_dropped
-        for channel in channels:
-            for event, payload in channel.pending:
-                event.cancel()
-                purged.append(
-                    (
-                        event,
-                        DroppedMessage(
-                            channel.source, channel.destination, payload
-                        ),
-                    )
-                )
-            if channel.pending:
-                key = (channel.source, channel.destination)
-                per_link_dropped[key] = (
-                    per_link_dropped.get(key, 0) + len(channel.pending)
-                )
-            channel.in_flight = 0
+    def _purge(
+        self, matches: Callable[[tuple[str, str]], bool], name: str, **attrs: Any
+    ) -> list[DroppedMessage]:
+        """Cancel and account every pending delivery on the links *matches*
+        accepts, and report a nonempty purge as the obs event *name*."""
+        purged: list[tuple[float, int, DroppedMessage]] = []
+        for key, channel in sorted(self._channels.items()):
+            if not matches(key) or not channel.pending:
+                continue
+            for handle, payload in channel.pending:
+                handle.cancel()
+                dropped = DroppedMessage(channel.source, channel.destination, payload)
+                purged.append((handle.time, handle.seq, dropped))
+            self.stats.per_link_dropped[key] += len(channel.pending)
             channel.pending.clear()
         self.stats.messages_dropped += len(purged)
         if purged and self.obs.enabled:
             self.obs.inc("net.messages_purged", len(purged))
-        purged.sort(key=lambda pair: (pair[0].time, pair[0].seq))
-        return [dropped for _, dropped in purged]
+            self.obs.event(name, **attrs, purged=len(purged))
+        purged.sort()
+        return [dropped for _, _, dropped in purged]
 
     def quiescent(self) -> bool:
         """True when no message is in flight on any channel."""
@@ -364,8 +339,8 @@ class Network:
         """Assert the drop-accounting invariant centrally.
 
         Globally, ``in_flight = sent - delivered - dropped`` must equal
-        both the per-channel in-flight counters and the number of
-        undelivered scheduled messages, at every instant.  The same
+        the number of undelivered scheduled messages (the channels'
+        pending deliveries), at every instant.  The same
         conservation law is asserted *per directed link*: each link's
         sent count must decompose into delivered + dropped + on-wire.
         The per-link check is what makes the invariant meaningful for
@@ -378,28 +353,26 @@ class Network:
             AssertionError: some message was double-counted or lost
                 from the accounting.
         """
-        per_channel = sum(c.in_flight for c in self._channels.values())
         pending = sum(len(c.pending) for c in self._channels.values())
         stats = self.stats
-        if not (stats.in_flight == per_channel == pending):
+        if stats.in_flight != pending:
             raise AssertionError(
                 "network drop-accounting invariant violated: "
                 f"sent={stats.messages_sent} delivered="
                 f"{stats.messages_delivered} dropped={stats.messages_dropped} "
                 f"=> in_flight={stats.in_flight}, but channels carry "
-                f"{per_channel} in-flight / {pending} pending"
+                f"{pending} pending"
             )
         for key, sent in stats.per_link_sent.items():
             channel = self._channels.get(key)
-            on_wire = channel.in_flight if channel is not None else 0
-            pending_here = len(channel.pending) if channel is not None else 0
-            delivered = stats.per_link_delivered.get(key, 0)
-            dropped = stats.per_link_dropped.get(key, 0)
-            if sent != delivered + dropped + on_wire or on_wire != pending_here:
+            on_wire = len(channel.pending) if channel is not None else 0
+            delivered = stats.per_link_delivered[key]
+            dropped = stats.per_link_dropped[key]
+            if sent != delivered + dropped + on_wire:
                 raise AssertionError(
                     f"link drop-accounting invariant violated on {key!r}: "
                     f"sent={sent} delivered={delivered} dropped={dropped} "
-                    f"in-flight={on_wire} pending={pending_here}"
+                    f"pending={on_wire}"
                 )
 
     def _channel(self, source: str, destination: str) -> _Channel:
@@ -413,18 +386,14 @@ class Network:
     def _deliver(
         self, channel: _Channel, source: str, destination: str, item: Any
     ) -> None:
-        channel.in_flight -= 1
-        if channel.pending:
-            channel.pending.pop(0)
+        channel.pending.popleft()
         key = (source, destination)
         endpoint = self._endpoints.get(destination)
         if endpoint is None:
             # The destination unregistered mid-flight: the message is
             # dropped, not delivered — in_flight still re-reaches zero.
             self.stats.messages_dropped += 1
-            self.stats.per_link_dropped[key] = (
-                self.stats.per_link_dropped.get(key, 0) + 1
-            )
+            self.stats.per_link_dropped[key] += 1
             if self.obs.enabled:
                 self.obs.event(
                     "net.drop",
@@ -434,7 +403,5 @@ class Network:
                 )
             return
         self.stats.messages_delivered += 1
-        self.stats.per_link_delivered[key] = (
-            self.stats.per_link_delivered.get(key, 0) + 1
-        )
+        self.stats.per_link_delivered[key] += 1
         endpoint.on_message(source, item)

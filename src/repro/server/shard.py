@@ -364,7 +364,6 @@ class ShardServer(BackendServer):
         if not 0 <= shard_id < n_shards:
             raise ValueError(f"shard_id {shard_id} out of range 0..{n_shards - 1}")
         self.shard_id = shard_id
-        self.n_shards = n_shards
         primary = shard_id == 0
         super().__init__(
             sim,
@@ -401,7 +400,6 @@ class ShardServer(BackendServer):
         self.exchange_batches_sent = 0
         self.exchange_ops_sent = 0
         self.exchange_batches_received = 0
-        self.exchange_ops_applied = 0
         self.exchange_dup_ops = 0
         self.exchange_resyncs = 0
         if self.obs.enabled:
@@ -429,10 +427,6 @@ class ShardServer(BackendServer):
         #: :meth:`recover` replays the durable log.
         self.crashed = False
         self.dropped_while_crashed = 0
-
-    @property
-    def is_primary(self) -> bool:
-        return self.shard_id == 0
 
     def sent_watermark(self, peer: str) -> int:
         """How much of the commit log has been pushed toward *peer*."""
@@ -480,7 +474,6 @@ class ShardServer(BackendServer):
         owner's slot, and neither re-committed nor re-exchanged.
         """
         if isinstance(worker_id, ShardCommit):
-            self.exchange_ops_applied += 1
             commit = worker_id
             return self._trace(
                 message, commit.worker_id, commit.shard_id, commit.lseq

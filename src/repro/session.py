@@ -30,7 +30,7 @@ row, so eager construction would silently change the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.client import WorkerClient
 from repro.constraints.template import Template

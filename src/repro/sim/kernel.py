@@ -7,9 +7,10 @@ shared :class:`Simulator`.  Simulated time is in seconds.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, Member
 
 if TYPE_CHECKING:
     from repro.obs import NullObservability, Observability
@@ -46,7 +47,7 @@ class Simulator:
         self._queue = EventQueue()
         self._now = 0.0
         self._running = False
-        self._microtasks: list[Callable[[], Any]] = []
+        self._microtasks: deque[Callable[[], Any]] = deque()
         self.obs = resolve(obs)
 
     @property
@@ -61,7 +62,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still waiting to fire."""
+        """Number of events (group members) still waiting to fire."""
         return len(self._queue)
 
     def schedule(self, delay: float, action: Callable[[], Any]) -> Event:
@@ -89,6 +90,16 @@ class Simulator:
             )
         return self._queue.push(time, action)
 
+    def schedule_group_at(
+        self, time: float, size: int, action: Callable[[int], Any]
+    ) -> list[Member]:
+        """*size* :meth:`schedule_at` calls of ``action(i)`` as one heap entry."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time}; clock is already at {self._now}"
+            )
+        return self._queue.push_group(time, size, action)
+
     def defer(self, action: Callable[[], Any]) -> None:
         """Run *action* at the end of the current simulated instant.
 
@@ -110,7 +121,7 @@ class Simulator:
         Args:
             until: stop (without firing) events scheduled after this time;
                 the clock is advanced to *until* when given.
-            max_events: safety bound on the number of events fired.
+            max_events: safety bound on events fired (a group fires whole).
 
         Returns:
             The number of events fired.
@@ -120,15 +131,15 @@ class Simulator:
         self._running = True
         fired = 0
         microtasks = self._microtasks
+        queue = self._queue
         try:
             while True:
-                next_time = self._queue.peek_time()
+                next_time = queue.peek_time()
                 # End of the current instant: run deferred actions before
                 # the clock advances (they may schedule events at the
                 # current time, extending the instant).
                 if microtasks and (next_time is None or next_time > self._now):
-                    task = microtasks.pop(0)
-                    task()
+                    microtasks.popleft()()
                     continue
                 if max_events is not None and fired >= max_events:
                     break
@@ -136,11 +147,11 @@ class Simulator:
                     break
                 if until is not None and next_time > until:
                     break
-                event = self._queue.pop()
+                event = queue.pop()
                 assert event is not None
                 self._now = event.time
                 event.action()
-                fired += 1
+                fired += event.size
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -149,9 +160,9 @@ class Simulator:
             self.obs.inc("sim.events_fired", fired)
             self.obs.inc("sim.runs")
             self.obs.gauge("sim.now", self._now)
-            self.obs.gauge("sim.pending_events", len(self._queue))
+            self.obs.gauge("sim.pending_events", len(queue))
         return fired
 
     def step(self) -> bool:
-        """Fire exactly one event.  Returns False when the queue is empty."""
-        return self.run(max_events=1) == 1
+        """Fire the next event (or group).  False when the queue is empty."""
+        return self.run(max_events=1) > 0

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.net import ConstantLatency, LogNormalLatency, Network, UniformLatency
+from repro.net.faults import FaultInjector, FaultPlan, LatencySpike
+from repro.obs import Observability
 from repro.sim import RngStreams, Simulator
 
 
@@ -274,3 +276,131 @@ def test_latency_validation():
         UniformLatency(2, 1)
     with pytest.raises(ValueError):
         LogNormalLatency(median=0)
+
+
+def _fan_out(latency, recipients=16):
+    sim, net = make_net(latency=latency)
+    net.register("server", Sink())
+    sinks = {f"c{i}": Sink() for i in range(recipients)}
+    for name, sink in sinks.items():
+        net.register(name, sink)
+    return sim, net, sinks
+
+
+def test_constant_latency_broadcast_is_one_heap_entry():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5))
+    heap = sim._queue._heap
+    net.broadcast("server", list(sinks), "op")
+    assert len(heap) == 1
+    assert sim.pending_events == 16
+    net.check_accounting()
+    assert sim.run() == 16
+    assert all(sink.got == [("server", "op")] for sink in sinks.values())
+
+
+def test_uniform_latency_broadcast_is_one_heap_entry_per_recipient():
+    sim, net, sinks = _fan_out(UniformLatency(0.02, 0.2))
+    heap = sim._queue._heap
+    net.broadcast("server", list(sinks), "op")
+    assert len(heap) == 16
+    assert sim.pending_events == 16
+    assert sim.run() == 16
+
+
+def test_grouped_broadcast_delivers_in_list_order():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5))
+    order = []
+    for name, sink in sinks.items():
+        sink.on_message = lambda source, payload, name=name: order.append(name)
+    names = list(sinks)[::-1]
+    net.broadcast("server", names, "op")
+    sim.run()
+    assert order == names
+
+
+def test_drop_in_flight_mid_group_cancels_one_recipient():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=4)
+    order = []
+    for name, sink in sinks.items():
+        sink.on_message = lambda source, payload, name=name: order.append(
+            (name, payload)
+        )
+    net.send("c2", "server", "up")  # deliver_at 0.5, before the group
+    net.broadcast("server", list(sinks), "op")
+    assert len(sim._queue._heap) == 2
+    dropped = net.drop_in_flight("c2")
+    assert [(d.source, d.destination, d.payload) for d in dropped] == [
+        ("c2", "server", "up"),
+        ("server", "c2", "op"),
+    ]
+    assert sim.pending_events == 3
+    net.check_accounting()
+    assert sim.run() == 3
+    assert order == [("c0", "op"), ("c1", "op"), ("c3", "op")]
+    assert net.stats.messages_delivered == 3
+    assert net.stats.messages_dropped == 2
+    net.check_accounting()
+    assert net.quiescent()
+
+
+def test_purge_by_an_earlier_recipient_skips_a_later_one():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=3)
+    sinks["c0"].on_message = lambda source, payload: net.drop_in_flight("c2")
+    net.broadcast("server", list(sinks), "op")
+    assert sim.run() == 2
+    assert sinks["c1"].got == [("server", "op")]
+    assert sinks["c2"].got == []
+    net.check_accounting()
+    assert net.quiescent()
+
+
+def test_purged_group_and_plain_deliveries_sort_by_time_then_seq():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=3)
+    net.broadcast("server", list(sinks), "first")
+    net.send("c1", "server", "between")
+    net.broadcast("server", list(sinks), "second")
+    dropped = net.drop_in_flight("c1")
+    assert [(d.source, d.destination, d.payload) for d in dropped] == [
+        ("server", "c1", "first"),
+        ("c1", "server", "between"),
+        ("server", "c1", "second"),
+    ]
+    net.check_accounting()
+
+
+def test_latency_spike_on_one_link_takes_the_per_recipient_path():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=4)
+    spike = LatencySpike(
+        start=0.0, end=10.0, factor=3.0, source="server", destination="c1"
+    )
+    FaultInjector(sim, net, FaultPlan(spikes=(spike,))).install()
+    heap = sim._queue._heap
+    before = len(heap)
+    net.broadcast("server", list(sinks), "op")
+    assert len(heap) - before == 4
+    order = []
+    for name, sink in sinks.items():
+        sink.on_message = lambda source, payload, name=name: order.append(
+            (name, sim.now)
+        )
+    sim.run()
+    assert order == [("c0", 0.5), ("c2", 0.5), ("c3", 0.5), ("c1", 1.5)]
+
+
+def test_events_fired_equals_messages_delivered():
+    obs = Observability()
+    sim = Simulator(obs=obs)
+    net = Network(
+        sim, default_latency=ConstantLatency(0.5), streams=RngStreams(0)
+    )
+    net.register("server", Sink())
+    names = [f"c{i}" for i in range(5)]
+    for name in names:
+        net.register(name, Sink())
+    for round_ in range(3):
+        net.broadcast("server", names, round_)
+        net.send("c0", "server", round_)
+    net.drop_in_flight("c3")
+    fired = sim.run()
+    assert fired == net.stats.messages_delivered == 3 * 4 + 3
+    assert obs.metrics.counter_value("sim.events_fired") == fired

@@ -95,3 +95,92 @@ def test_len_matches_pushes(n):
     for i in range(n):
         queue.push(float(i), lambda: None)
     assert len(queue) == n
+
+
+def test_len_counts_a_double_cancel_once():
+    queue = EventQueue()
+    doomed = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    doomed.cancel()
+    doomed.cancel()
+    assert len(queue) == 1
+
+
+def test_cancel_after_pop_keeps_the_count():
+    queue = EventQueue()
+    first = queue.push(1.0, lambda: None)
+    queue.push(2.0, lambda: None)
+    assert queue.pop() is first
+    assert len(queue) == 1
+    first.cancel()
+    assert len(queue) == 1
+
+
+def test_cancel_after_clear_keeps_the_count():
+    queue = EventQueue()
+    event = queue.push(1.0, lambda: None)
+    members = queue.push_group(2.0, 3, lambda index: None)
+    queue.clear()
+    event.cancel()
+    members[1].cancel()
+    assert len(queue) == 0
+    queue.push(3.0, lambda: None)
+    assert len(queue) == 1
+
+
+def test_group_takes_consecutive_seqs_and_counts_each_member():
+    queue = EventQueue()
+    before = queue.push(1.0, lambda: None)
+    members = queue.push_group(1.0, 3, lambda index: None)
+    after = queue.push(1.0, lambda: None)
+    assert [m.seq for m in members] == [1, 2, 3]
+    assert {m.time for m in members} == {1.0}
+    assert after.seq == 4
+    assert len(queue) == 5
+    assert len(queue._heap) == 3  # one entry for the whole group
+    assert queue.pop() is before
+
+
+def test_group_fires_live_members_in_order():
+    queue = EventQueue()
+    fired = []
+    members = queue.push_group(1.0, 4, fired.append)
+    members[1].cancel()
+    members[1].cancel()
+    assert len(queue) == 3
+    group = queue.pop()
+    assert len(queue) == 0
+    group.action()
+    assert fired == [0, 2, 3]
+    assert group.size == 3  # counts as three fired events
+    members[0].cancel()  # already fired: no effect
+    assert group.size == 3
+    assert len(queue) == 0
+
+
+def test_member_cancelled_by_an_earlier_member_does_not_fire():
+    queue = EventQueue()
+    fired = []
+
+    def action(index):
+        fired.append(index)
+        if index == 0:
+            members[2].cancel()
+
+    members = queue.push_group(1.0, 3, action)
+    group = queue.pop()
+    group.action()
+    assert fired == [0, 1]
+    assert group.size == 2
+    assert len(queue) == 0
+
+
+def test_group_with_every_member_cancelled_is_skipped():
+    queue = EventQueue()
+    members = queue.push_group(1.0, 2, lambda index: None)
+    survivor = queue.push(2.0, lambda: None)
+    for member in members:
+        member.cancel()
+    assert len(queue) == 1
+    assert queue.peek_time() == 2.0
+    assert queue.pop() is survivor

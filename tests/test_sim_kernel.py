@@ -123,3 +123,60 @@ def test_same_time_events_fire_in_scheduling_order():
         sim.schedule(7.0, lambda i=i: fired.append(i))
     sim.run()
     assert fired == list(range(10))
+
+
+def test_group_fires_in_seq_order_and_counts_each_member():
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(1.0, lambda: fired.append("before"))
+    sim.schedule_group_at(1.0, 3, fired.append)
+    sim.schedule_at(1.0, lambda: fired.append("after"))
+    assert sim.run() == 5
+    assert fired == ["before", 0, 1, 2, "after"]
+
+
+def test_pending_events_counts_live_group_members():
+    sim = Simulator()
+    members = sim.schedule_group_at(1.0, 4, lambda index: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.pending_events == 5
+    members[2].cancel()
+    assert sim.pending_events == 4
+    assert sim.step() is True
+    assert sim.pending_events == 1
+    assert sim.now == 1.0
+
+
+def test_member_cancelled_mid_group_is_not_counted_as_fired():
+    sim = Simulator()
+    fired = []
+
+    def action(index):
+        fired.append(index)
+        if index == 0:
+            members[1].cancel()
+
+    members = sim.schedule_group_at(1.0, 3, action)
+    assert sim.run() == 2
+    assert fired == [0, 2]
+    assert sim.pending_events == 0
+
+
+def test_step_fires_a_whole_group():
+    sim = Simulator()
+    fired = []
+    sim.schedule_group_at(1.0, 3, fired.append)
+    sim.schedule(2.0, lambda: fired.append("later"))
+    assert sim.step() is True
+    assert fired == [0, 1, 2]
+    assert sim.step() is True
+    assert fired == [0, 1, 2, "later"]
+    assert sim.step() is False
+
+
+def test_group_at_past_time_rejected():
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.schedule_group_at(3.0, 2, lambda index: None)
