@@ -9,7 +9,7 @@ subscribable change stream with snapshot-equivalent replay:
 - :mod:`repro.cdc.subscription` — the producer (:class:`ChangeStream`)
   and the count-acknowledged consumer handle (:class:`Subscription`),
   plus :class:`StreamCursor`, the FIFO-resync bookkeeping core of
-  shard exchange marks and subscriptions.
+  subscriptions.
 - :mod:`repro.cdc.view` — :class:`CdcView`, a derived key-value view
   that bootstraps via DBLog-style chunked snapshot reads interleaved
   with the live stream and converges without pausing ingest.

@@ -8,12 +8,10 @@ count-acknowledged FIFO protocol (PR 2): per-link FIFO delivery makes
 the stream a consumer actually received a prefix of the stream the
 producer sent, so the consumer's received-message *count* alone
 identifies exactly which sent messages were lost.  The sender-side
-bookkeeping for that protocol is :class:`StreamCursor`, and it backs
-
-- the per-peer exchange marks of
-  :class:`~repro.server.shard.ShardServer` (heal-time resync), and
-- the :class:`Subscription` buffers of this module (derived views and
-  replica bootstrap).
+bookkeeping for the :class:`Subscription` buffers of this module
+(derived views and replica bootstrap) is :class:`StreamCursor`; the
+per-peer exchange marks of :class:`~repro.server.shard.ShardServer`
+are plain sent counts over its dense commit log.
 
 A :class:`ChangeStream` hangs off every server and turns its commit
 path into :class:`~repro.cdc.events.ChangeEvent`s.  Emission costs two
@@ -72,8 +70,8 @@ class StreamCursor:
     epoch*; ``refs`` retains the replay references (trace seqs, or the
     events themselves) of the most recent sends.  ``window`` bounds the
     retained refs: an integer keeps that many, ``None`` keeps all
-    (trusted in-process consumers), and ``0`` keeps none (dense-log
-    streams, where the count alone locates the replay suffix).
+    (trusted in-process consumers), and ``0`` keeps none (the count
+    alone is kept).
     """
 
     __slots__ = ("sent_count", "refs", "window")
@@ -97,9 +95,8 @@ class StreamCursor:
                 self.refs.popleft()
 
     def record_bulk(self, count: int) -> None:
-        """Advance the sent count by *count* without retaining refs —
-        dense-log senders (shard exchange) replay by count alone, and
-        a replay-gap initialization marks a forgotten prefix."""
+        """Advance the sent count by *count* without retaining refs (a
+        replay-gap initialization marks a forgotten prefix)."""
         self.sent_count += count
 
     @property
@@ -113,15 +110,6 @@ class StreamCursor:
         if acknowledged < self.dropped_prefix:
             return None
         return list(self.refs)[acknowledged - self.dropped_prefix:]
-
-    def rollback(self, acknowledged: int) -> None:
-        """Treat everything past the acknowledged prefix as dead and
-        roll the stream back to it, so replayed items extend the prefix
-        as fresh sends (the PR 2 reattach / PR 7 heal-time rule)."""
-        dead = self.sent_count - acknowledged
-        for _ in range(min(dead, len(self.refs))):
-            self.refs.pop()
-        self.sent_count = acknowledged
 
     def reset(self) -> None:
         """A snapshot resync starts a fresh count epoch on both sides."""

@@ -16,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Sequence
 
 from repro.pay import AllocationScheme
@@ -170,6 +171,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.trace_out:
             result.obs.write_trace(args.trace_out)
             print(f"wrote trace to {args.trace_out}")
+        if args.cdc_out and result.cdc_events is None:
+            crashed = ", ".join(sorted({w.endpoint for w in fault_plan.crashes}))
+            print(f"error: the change stream was lost when its owner crashed "
+                  f"({crashed}); {args.cdc_out} not written", file=sys.stderr)
+            return 1
         if args.cdc_out:
             import json
 

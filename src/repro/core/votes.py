@@ -182,6 +182,12 @@ class _HistoryView(MutableMapping):
     def __len__(self) -> int:
         return len(self._seen())
 
+    def nonzero_items(self) -> Iterator[tuple[RowValue, int]]:
+        """``items()`` minus the zero tallies, read by id in first-write
+        order (``items()`` re-hashes every value via ``__getitem__``)."""
+        value_of, count = self._votes.interner.value_of, self._count
+        return ((value_of(v), n) for v in self._seen() if (n := count(v)))
+
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, RowValue):
             return False

@@ -16,11 +16,11 @@ process:
   from the log alone;
 - a **checkpoint** (:func:`encode_checkpoint`): a
   ``BootstrapState``-shaped copy of the table captured at a CDC
-  :class:`~repro.cdc.events.Cut`, taken periodically at drain
-  boundaries.  Recovery restores the latest checkpoint and re-applies
-  only the WAL suffix the cut does not cover — the same
-  snapshot-plus-tail contract the DBLog-style subscription bootstrap
-  uses, addressed by the same cuts.
+  :class:`~repro.cdc.events.Cut`, taken at drain boundaries on a
+  geometric cadence (:attr:`DurableStore.checkpoint_due`).  Recovery
+  restores the latest checkpoint and re-applies only the WAL suffix
+  the cut does not cover — the same snapshot-plus-tail contract the
+  DBLog-style subscription bootstrap uses, addressed by the same cuts.
 
 Record framing is line-oriented JSON with a strict tail rule: every
 newline-terminated line must decode (an undecodable terminated line is
@@ -173,12 +173,12 @@ class DurabilityConfig:
     """Durability knobs, threaded from ``CollectionSession(durability=)``.
 
     Attributes:
-        checkpoint_interval: WAL records between checkpoints.  A
-            checkpoint is taken at the first drain boundary at which at
-            least this many records accumulated since the last one —
-            drain boundaries are the only instants at which the table
-            provably equals the traced prefix (the cut), so they are
-            the only sound capture points.
+        checkpoint_interval: the minimum gap, in WAL records, between
+            checkpoints (see :attr:`DurableStore.checkpoint_due`).  A
+            checkpoint is taken at the first drain boundary at which
+            one is due — drain boundaries are the only instants at which
+            the table provably equals the traced prefix (the cut), so
+            they are the only sound capture points.
     """
 
     checkpoint_interval: int = 256
@@ -204,6 +204,8 @@ class DurableStore:
         self._checkpoint: bytes | None = None
         self.checkpoints_taken = 0
         self.records_since_checkpoint = 0
+        #: WAL records appended before the latest checkpoint was saved.
+        self.records_covered = 0
         self.recoveries = 0
 
     def append(self, record: WalRecord) -> None:
@@ -212,7 +214,13 @@ class DurableStore:
 
     @property
     def checkpoint_due(self) -> bool:
-        return self.records_since_checkpoint >= self.config.checkpoint_interval
+        """The suffix since the last checkpoint reached max(minimum gap,
+        records that checkpoint covered): the AOF-rewrite rule at ratio
+        1, so N records take O(log N) checkpoints and recovery re-applies
+        at most that many records."""
+        return self.records_since_checkpoint >= max(
+            self.config.checkpoint_interval, self.records_covered
+        )
 
     @property
     def has_checkpoint(self) -> bool:
@@ -225,6 +233,7 @@ class DurableStore:
         self._checkpoint = _encode_line(document)
         self.checkpoints_taken += 1
         self.records_since_checkpoint = 0
+        self.records_covered = self.log.records_appended
 
     def load_checkpoint(self) -> dict[str, Any] | None:
         if self._checkpoint is None:
@@ -239,25 +248,19 @@ def encode_checkpoint(
 
     *state* is duck-typed (``rows`` / ``upvote_history`` /
     ``downvote_history`` / ``superseded``) so this module needs no
-    import of the server layer.  *central* carries the primary shard's
-    Central Client constraint state (current + dropped template rows),
-    already in dict form.
+    import of the server layer; its lists go in uncopied (JSON writes
+    tuples as arrays, and :meth:`DurableStore.save_checkpoint` encodes
+    at once).  *central* carries the primary shard's Central Client
+    constraint state (current + dropped template rows), in dict form.
     """
     return {
         "version": CHECKPOINT_VERSION,
         "cut": cut.to_dict(),
         "state": {
-            "rows": [
-                [row_id, dict(value), upvotes, downvotes]
-                for row_id, value, upvotes, downvotes in state.rows
-            ],
-            "upvote_history": [
-                [dict(value), count] for value, count in state.upvote_history
-            ],
-            "downvote_history": [
-                [dict(value), count] for value, count in state.downvote_history
-            ],
-            "superseded": list(state.superseded),
+            "rows": state.rows,
+            "upvote_history": state.upvote_history,
+            "downvote_history": state.downvote_history,
+            "superseded": state.superseded,
         },
         "central": central,
     }

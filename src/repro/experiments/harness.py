@@ -141,8 +141,9 @@ class ExperimentConfig:
     ``--fault-plan plan.json`` input.  Crash windows require a sharded
     backend (``shards=N``); durability is enabled automatically."""
     checkpoint_interval: int | None = None
-    """WAL records between checkpoints when durability is on; ``None``
-    uses the :class:`~repro.durability.DurabilityConfig` default."""
+    """The minimum gap, in WAL records, between checkpoints when
+    durability is on (the cadence is geometric past it); ``None`` uses
+    the :class:`~repro.durability.DurabilityConfig` default."""
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -218,8 +219,10 @@ class ExperimentResult:
     """The final :class:`~repro.cdc.leaderboard.LeaderboardSnapshot` of
     the run's live leaderboard consumer (the CDC-derived standings the
     report's final-state sections render)."""
-    cdc_events: list = field(default_factory=list)
-    """The run's change stream (``capture_cdc=True`` only)."""
+    cdc_events: list | None = field(default_factory=list)
+    """The run's change stream (``capture_cdc=True`` only); ``None``
+    when the export was lost because its stream's owner crashed (the
+    events it buffered died with the process)."""
     fault_events: int = 0
     """Injector actions taken (``fault_plan`` runs only)."""
     _allocations: dict[AllocationScheme, AllocationResult] = field(
@@ -436,7 +439,7 @@ class CrowdFillExperiment:
             messages_sent=session.network.stats.messages_sent,
             obs=session.obs,
             leaderboard=board.snapshot(),
-            cdc_events=export.take() or [] if export is not None else [],
+            cdc_events=export.take() if export is not None else [],
             fault_events=len(injector.events) if injector is not None else 0,
         )
 

@@ -75,18 +75,16 @@ class BootstrapState:
         table = replica.table
         return cls(
             rows=[
-                (row.row_id, dict(row.value), row.upvotes, row.downvotes)
+                (row.row_id, dict(row.value.mapping), row.upvotes, row.downvotes)
                 for row in table.rows()
             ],
             upvote_history=[
-                (dict(value), count)
-                for value, count in table.upvote_history.items()
-                if count
+                (dict(value.mapping), count)
+                for value, count in table.upvote_history.nonzero_items()
             ],
             downvote_history=[
-                (dict(value), count)
-                for value, count in table.downvote_history.items()
-                if count
+                (dict(value.mapping), count)
+                for value, count in table.downvote_history.nonzero_items()
             ],
             superseded=sorted(table.superseded),
         )

@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.cdc.events import Cut
-from repro.cdc.subscription import StreamCursor, Subscription
+from repro.cdc.subscription import Subscription
 from repro.cdc.view import CdcView
 from repro.constraints.central import CENTRAL_CLIENT_ID, CentralClient
 from repro.constraints.template import Template
@@ -387,12 +387,10 @@ class ShardServer(BackendServer):
         #: Every operation this shard committed, in lseq order: the
         #: local-origin records of :attr:`trace` (the same objects).
         self.commit_log: list[TraceRecord] = []
-        # Exchange bookkeeping: a per-peer StreamCursor (window 0 — the
-        # commit log is dense, so the sent count alone locates the
-        # replay suffix) and a per-origin-shard applied prefix count.
-        self._peer_cursors: dict[str, StreamCursor] = {
-            peer: StreamCursor(window=0) for peer in self.peers
-        }
+        # Exchange bookkeeping: a per-peer sent mark (the commit log is
+        # dense, so the sent count alone locates the replay suffix) and
+        # a per-origin-shard applied prefix count.
+        self._sent: dict[str, int] = dict.fromkeys(self.peers, 0)
         self._received_from: dict[int, int] = {}
         self._flush_needed = False
         # Plain counters (obs-independent, for tests and reports); the
@@ -430,7 +428,7 @@ class ShardServer(BackendServer):
 
     def sent_watermark(self, peer: str) -> int:
         """How much of the commit log has been pushed toward *peer*."""
-        return self._peer_cursors[peer].sent_count
+        return self._sent[peer]
 
     def received_from(self, shard_id: int) -> int:
         """Applied prefix length of *shard_id*'s commit stream."""
@@ -570,15 +568,14 @@ class ShardServer(BackendServer):
         per peer per flush — the asymmetric broadcast)."""
         self._flush_needed = False
         for peer in self.peers:
-            if self._peer_cursors[peer].sent_count < len(self.commit_log):
+            if self._sent[peer] < len(self.commit_log):
                 self._send_to_peer(peer)
 
     def _send_to_peer(self, peer: str) -> None:
-        cursor = self._peer_cursors[peer]
-        start = cursor.sent_count
+        start = self._sent[peer]
         entries = self.commit_log[start:]
         batch = encode_exchange(self.shard_id, start, entries)
-        cursor.record_bulk(len(entries))
+        self._sent[peer] = len(self.commit_log)
         self.exchange_batches_sent += 1
         self.exchange_ops_sent += len(entries)
         self.network.send(self.endpoint, peer, batch)
@@ -592,14 +589,14 @@ class ShardServer(BackendServer):
         and sends during it were dropped), so the suffix is re-sent as
         fresh batches.  Returns the number of re-offered operations.
         """
-        if peer not in self._peer_cursors:
+        if peer not in self._sent:
             raise ValueError(f"{peer!r} is not a peer of {self.endpoint!r}")
         if acknowledged < 0 or acknowledged > len(self.commit_log):
             raise ValueError(
                 f"peer {peer!r} acknowledged {acknowledged} ops but "
                 f"{self.endpoint!r} committed only {len(self.commit_log)}"
             )
-        self._peer_cursors[peer].rollback(acknowledged)
+        self._sent[peer] = acknowledged
         backlog = len(self.commit_log) - acknowledged
         self.exchange_resyncs += 1
         if self.obs.enabled:
@@ -625,7 +622,7 @@ class ShardServer(BackendServer):
         """
         if endpoint == self.endpoint:
             raise ValueError(f"{self.endpoint!r} cannot adopt itself")
-        if endpoint in self._peer_cursors:
+        if endpoint in self._sent:
             raise ValueError(
                 f"{endpoint!r} is already a peer of {self.endpoint!r}"
             )
@@ -635,9 +632,7 @@ class ShardServer(BackendServer):
                 f"but {self.endpoint!r} committed only {len(self.commit_log)}"
             )
         self.peers = self.peers + (endpoint,)
-        cursor = StreamCursor(window=0)
-        cursor.record_bulk(acknowledged)
-        self._peer_cursors[endpoint] = cursor
+        self._sent[endpoint] = acknowledged
         if self.obs.enabled:
             self.obs.event(
                 f"{self._obs_ns}.adopt_peer",
@@ -702,9 +697,7 @@ class ShardServer(BackendServer):
         self.central = None
         self._completion = None
         self.commit_log = []
-        self._peer_cursors = {
-            peer: StreamCursor(window=0) for peer in self.peers
-        }
+        self._sent = dict.fromkeys(self.peers, 0)
         self._received_from = {}
         self._flush_needed = False
         self.changes.amnesia()
@@ -1280,9 +1273,7 @@ class ShardedBackend:
         # followers commit nothing; the constructor's range-based peer
         # list would include them).
         follower.peers = tuple(shard.endpoint for shard in self.shards)
-        follower._peer_cursors = {
-            peer: StreamCursor(window=0) for peer in follower.peers
-        }
+        follower._sent = dict.fromkeys(follower.peers, 0)
         follower.start()
         follower.seed_from_snapshot(state, cut)
         for shard in self.shards:
@@ -1476,9 +1467,9 @@ class ShardedBackend:
             shard.recommit_lost(list(lost.values()))
         links: list[tuple[str, str]] = []
         for peer in survivors:
-            if peer.endpoint in shard._peer_cursors:
+            if peer.endpoint in shard._sent:
                 links.append((shard.endpoint, peer.endpoint))
-            if shard.endpoint in peer._peer_cursors:
+            if shard.endpoint in peer._sent:
                 links.append((peer.endpoint, shard.endpoint))
         self.resync_links(links)
         shard.complete_recovery()

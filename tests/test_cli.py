@@ -179,3 +179,56 @@ def test_run_fault_plan_crashes_require_shards(tmp_path):
     with pytest.raises(ValueError, match="crash windows need a sharded"):
         main(["run", "--seed", "3", "--workers", "3", "--rows", "4",
               "--fault-plan", str(plan_file)])
+
+
+def test_run_cdc_export_lost_to_a_primary_crash_fails_loudly(tmp_path, capsys):
+    """A crash of the primary shard loses the `--cdc-out` subscription:
+    the CLI names the crashed endpoint, writes no export, exits non-zero
+    and still writes its other outputs."""
+    import json
+
+    from repro.net import FaultPlan, ShardCrashWindow
+    from repro.server.shard import shard_endpoint
+
+    plan = FaultPlan(
+        crashes=(ShardCrashWindow(shard_endpoint(0), 1.0, 3.0),)
+    )
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan.to_dict()))
+    cdc_file = tmp_path / "events.jsonl"
+    metrics_file = tmp_path / "metrics.json"
+    code = main(["run", "--seed", "3", "--workers", "3", "--rows", "4",
+                 "--shards", "2", "--fault-plan", str(plan_file),
+                 "--cdc-out", str(cdc_file),
+                 "--metrics-out", str(metrics_file)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "shard-0" in captured.err
+    assert str(cdc_file) in captured.err
+    assert not cdc_file.exists()
+    assert "change events" not in captured.out
+    assert metrics_file.exists()
+    assert captured.out.count("'name'") == 4  # the results still print
+
+
+def test_run_cdc_export_survives_a_non_primary_crash(tmp_path, capsys):
+    """Only the primary's crash loses the export: a crash of another
+    shard still writes every change event."""
+    import json
+
+    from repro.net import FaultPlan, ShardCrashWindow
+    from repro.server.shard import shard_endpoint
+
+    plan = FaultPlan(
+        crashes=(ShardCrashWindow(shard_endpoint(1), 1.0, 3.0),)
+    )
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan.to_dict()))
+    cdc_file = tmp_path / "events.jsonl"
+    code = main(["run", "--seed", "3", "--workers", "3", "--rows", "4",
+                 "--shards", "2", "--fault-plan", str(plan_file),
+                 "--cdc-out", str(cdc_file)])
+    assert code == 0
+    lines = cdc_file.read_text().splitlines()
+    assert lines
+    assert f"wrote {len(lines)} change events" in capsys.readouterr().out

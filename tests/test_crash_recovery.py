@@ -221,6 +221,10 @@ def _assert_crash_convergence(backend, clients, network):
         assert incremental == scratch
 
     network.check_accounting()
+    # A crashed shard's last-resort guard dropped nothing: the injector
+    # severs its links and the router backlogs its operations first.
+    for shard in backend.shards:
+        assert shard.dropped_while_crashed == 0
     # Each attached client's session derives its sent count from the
     # trace; it must equal what the client itself counted in.
     for name, client in clients.items():
@@ -523,6 +527,39 @@ def test_checkpoint_plus_wal_suffix_recovery():
     assert shard.durable.checkpoints_taken > 0
     assert shard.durable.recoveries == 1
     assert shard.durable.log.records_appended >= len(shard.commit_log)
+    _assert_crash_convergence(backend, clients, network)
+
+
+def test_recovery_replays_at_most_the_checkpoint_cadence_bound():
+    """Checkpoints come due on a geometric cadence, so the WAL suffix a
+    recovering shard re-applies is bounded by max(interval, records the
+    last checkpoint covered) — here a late crash, after the covered
+    prefix has outgrown the interval."""
+    interval = 2
+    plan = FaultPlan(crashes=(ShardCrashWindow(shard_endpoint(1), 7.0, 8.0),))
+    sim, network, backend, clients, injector, names = _build_crash_rig(
+        2, 4, 5, plan, checkpoint_interval=interval
+    )
+    shard = backend.shards[1]
+    seen = []
+    recover = shard.recover
+
+    def observed_recover():
+        covered = shard.durable.records_covered
+        replayed = recover()
+        seen.append((replayed, covered))
+        return replayed
+
+    shard.recover = observed_recover
+    _schedule_ops(sim, clients, names, _PINNED_SCHEDULE)
+    _finish(sim, network, injector)
+    [(replayed, covered)] = seen
+    assert covered > interval
+    assert 0 < replayed <= max(interval, covered)
+    # Geometric, not every `interval` records: the k-th checkpoint
+    # needs at least interval * 2**(k-1) appended records.
+    taken = shard.durable.checkpoints_taken
+    assert interval * 2 ** (taken - 1) <= shard.durable.log.records_appended
     _assert_crash_convergence(backend, clients, network)
 
 

@@ -152,6 +152,49 @@ def test_store_checkpoint_cadence():
     assert store.log.records_appended == 3
 
 
+def _due_points(store, records):
+    """Append *records* WAL records, checkpointing whenever one comes
+    due (as a drain boundary after every record would); return the
+    appended counts at which checkpoints were taken."""
+    points = []
+    for lseq in range(records):
+        store.append(make_record(lseq=lseq))
+        if store.checkpoint_due:
+            store.save_checkpoint({"version": 1})
+            points.append(store.log.records_appended)
+    return points
+
+
+def test_store_checkpoint_cadence_is_geometric():
+    """A checkpoint comes due once the suffix since the last one
+    reaches max(interval, records the last one covered): at interval 3
+    that is at 3, 6, 12 and 24 appended records."""
+    store = DurableStore(DurabilityConfig(checkpoint_interval=3))
+    assert _due_points(store, 47) == [3, 6, 12, 24]
+    assert store.records_covered == 24
+    assert store.records_since_checkpoint == 23
+    assert not store.checkpoint_due
+    store.append(make_record(lseq=47))
+    assert store.checkpoint_due
+
+
+def test_store_checkpoint_count_is_logarithmic():
+    """10,000 records at the default interval of 256 take exactly six
+    checkpoints (256, 512, ..., 8192), not 39."""
+    store = DurableStore(DurabilityConfig(checkpoint_interval=256))
+    assert _due_points(store, 10_000) == [256, 512, 1024, 2048, 4096, 8192]
+    assert store.checkpoints_taken == 6
+
+
+def test_store_seeded_checkpoint_keeps_the_minimum_gap():
+    """A checkpoint saved before any append (a seeded follower's
+    baseline) covers nothing, so the next one is due at the interval."""
+    store = DurableStore(DurabilityConfig(checkpoint_interval=4))
+    store.save_checkpoint({"version": 1})
+    assert store.records_covered == 0
+    assert _due_points(store, 9) == [4, 8]
+
+
 def test_store_load_checkpoint_builds_fresh_document():
     store = DurableStore()
     assert store.load_checkpoint() is None
@@ -213,3 +256,130 @@ def test_checkpoint_rejects_missing_keys():
     del document["state"]
     with pytest.raises(WalCorruptionError):
         decode_checkpoint(document)
+
+
+# -- one-pass capture and encode ----------------------------------------------
+
+
+def _table_with_undone_votes_and_superseded_ids():
+    from repro.core import CandidateTable, ThresholdScoring
+    from repro.core.messages import (
+        DownvoteMessage,
+        UndoDownvoteMessage,
+        UndoUpvoteMessage,
+    )
+    from repro.core.schema import soccer_player_schema
+
+    table = CandidateTable(soccer_player_schema(), ThresholdScoring(2))
+    xavi = RowValue({"name": "Xavi"})
+    xavi_es = RowValue({"name": "Xavi", "nationality": "Spain"})
+    iniesta = RowValue({"name": "Iniesta"})
+    messi = RowValue({"name": "Messi"})
+    for message in [
+        InsertMessage(row_id="r1"),
+        InsertMessage(row_id="r2"),
+        InsertMessage(row_id="r3"),
+        ReplaceMessage("r1", "r1a", xavi, "name", "Xavi"),
+        ReplaceMessage("r1a", "r1b", xavi_es, "nationality", "Spain"),
+        ReplaceMessage("r2", "r2a", iniesta, "name", "Iniesta"),
+        UpvoteMessage(value=iniesta),
+        UpvoteMessage(value=xavi_es),
+        UpvoteMessage(value=xavi_es),
+        UndoUpvoteMessage(value=iniesta),
+        DownvoteMessage(value=messi),
+        DownvoteMessage(value=iniesta),
+        UndoDownvoteMessage(value=messi),
+    ]:
+        message.apply(table)
+    # Undone votes stay in the histories at count 0.
+    assert table.upvote_history[iniesta] == 0
+    assert table.downvote_history[messi] == 0
+    assert table.superseded == {"r1", "r1a", "r2"}
+    return table
+
+
+def _capture_by_mapping_protocol(table):
+    """The capture as written before the one-pass walk: values copied
+    through the generic Mapping protocol, histories read via items()."""
+    return BootstrapState(
+        rows=[
+            (row.row_id, dict(row.value), row.upvotes, row.downvotes)
+            for row in table.rows()
+        ],
+        upvote_history=[
+            (dict(value), count)
+            for value, count in table.upvote_history.items()
+            if count
+        ],
+        downvote_history=[
+            (dict(value), count)
+            for value, count in table.downvote_history.items()
+            if count
+        ],
+        superseded=sorted(table.superseded),
+    )
+
+
+def _encode_by_copy(state, cut, central=None):
+    """The checkpoint encoder as written before it stopped copying."""
+    return {
+        "version": 1,
+        "cut": cut.to_dict(),
+        "state": {
+            "rows": [
+                [row_id, dict(value), upvotes, downvotes]
+                for row_id, value, upvotes, downvotes in state.rows
+            ],
+            "upvote_history": [
+                [dict(value), count] for value, count in state.upvote_history
+            ],
+            "downvote_history": [
+                [dict(value), count] for value, count in state.downvote_history
+            ],
+            "superseded": list(state.superseded),
+        },
+        "central": central,
+    }
+
+
+def _checkpoint_bytes(document):
+    store = DurableStore()
+    store.save_checkpoint(document)
+    return store._checkpoint
+
+
+def test_capture_matches_the_mapping_protocol_capture():
+    from types import SimpleNamespace
+
+    table = _table_with_undone_votes_and_superseded_ids()
+    replica = SimpleNamespace(table=table)
+    state = BootstrapState.capture(replica)
+    assert state == _capture_by_mapping_protocol(table)
+    # Order matters too (the checkpoint bytes list entries in it).
+    assert [v for v, _ in state.upvote_history] == [
+        dict(v) for v, c in table.upvote_history.items() if c
+    ]
+    assert len(state.upvote_history) < len(table.upvote_history)
+    assert len(state.downvote_history) < len(table.downvote_history)
+    assert state.superseded == ["r1", "r1a", "r2"]
+
+
+def test_nonzero_items_skips_undone_votes_in_first_write_order():
+    table = _table_with_undone_votes_and_superseded_ids()
+    for history in (table.upvote_history, table.downvote_history):
+        assert list(history.nonzero_items()) == [
+            (value, count) for value, count in history.items() if count
+        ]
+
+
+def test_checkpoint_bytes_match_the_copying_encoder():
+    from types import SimpleNamespace
+
+    table = _table_with_undone_votes_and_superseded_ids()
+    state = BootstrapState.capture(SimpleNamespace(table=table))
+    cut = Cut(position=13, counts=((0, 9), (1, 4)))
+    central = {"template": [], "dropped": []}
+    for args in ((state, cut, central), (state, cut, None), (make_state(), cut, None)):
+        assert _checkpoint_bytes(encode_checkpoint(*args)) == _checkpoint_bytes(
+            _encode_by_copy(*args)
+        )

@@ -691,6 +691,42 @@ def test_exchange_gap_raises_and_duplicates_skip():
         receiver._receive_exchange(gap)
 
 
+def test_resync_peer_rolls_the_sent_mark_back_and_resends():
+    """A peer's sent mark is one count over the dense commit log:
+    flushes advance it to the log length, a heal-time resync sets it
+    back to the acknowledged count and re-sends the suffix, which the
+    peer skips as duplicates."""
+    sim = Simulator()
+    network = Network(sim, streams=RngStreams(0))
+    backend = ShardedBackend(
+        sim, network, SCHEMA, SCORING, Template.cardinality(2), shards=2
+    )
+    backend.start()
+    sim.run()
+    sender, receiver = backend.shards
+    committed = len(sender.commit_log)
+    assert committed > 1
+    assert sender.sent_watermark(receiver.endpoint) == committed
+    assert receiver.received_from(sender.shard_id) == committed
+    dups_before = receiver.exchange_dup_ops
+
+    assert sender.resync_peer(receiver.endpoint, 1) == committed - 1
+    assert sender.sent_watermark(receiver.endpoint) == committed
+    assert sender.exchange_resyncs == 1
+    sim.run()
+    assert receiver.received_from(sender.shard_id) == committed
+    assert receiver.exchange_dup_ops == dups_before + committed - 1
+
+    # Nothing past the acknowledged prefix: no batch is sent.
+    batches = sender.exchange_batches_sent
+    assert sender.resync_peer(receiver.endpoint, committed) == 0
+    assert sender.exchange_batches_sent == batches
+    with pytest.raises(ValueError, match="acknowledged"):
+        sender.resync_peer(receiver.endpoint, committed + 1)
+    with pytest.raises(ValueError, match="not a peer"):
+        sender.resync_peer("shard-9", 0)
+
+
 def test_router_routes_deterministically_and_covers_shards():
     """Routing is a pure function of the message (same message → same
     shard, across router instances), and the bucketing actually spreads
