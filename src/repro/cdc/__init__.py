@@ -7,9 +7,8 @@ subscribable change stream with snapshot-equivalent replay:
 - :mod:`repro.cdc.events` — the wire types (:class:`ChangeEvent`,
   :class:`Cut`, :class:`SnapshotChunk`) and their canonical codecs.
 - :mod:`repro.cdc.subscription` — the producer (:class:`ChangeStream`)
-  and the count-acknowledged consumer handle (:class:`Subscription`),
-  plus :class:`StreamCursor`, the FIFO-resync bookkeeping core of
-  subscriptions.
+  and the count-acknowledged consumer handle (:class:`Subscription`), a
+  position in the server's trace from which events are built on poll.
 - :mod:`repro.cdc.view` — :class:`CdcView`, a derived key-value view
   that bootstraps via DBLog-style chunked snapshot reads interleaved
   with the live stream and converges without pausing ingest.
@@ -36,7 +35,6 @@ from repro.cdc.leaderboard import (
 )
 from repro.cdc.subscription import (
     ChangeStream,
-    StreamCursor,
     StreamUnavailableError,
     Subscription,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "LeaderboardSnapshot",
     "LeaderboardView",
     "SnapshotChunk",
-    "StreamCursor",
     "StreamUnavailableError",
     "Subscription",
     "WorkerTally",

@@ -122,13 +122,11 @@ class LeaderboardView:
         pending = sub.poll()
         if pending is None:
             # Overflow: row state reloads from a snapshot; the events
-            # lost with the buffer are gone from the tallies too (an
+            # the subscription lost are gone from the tallies too (an
             # unbounded subscription never takes this path).
             self.view._snapshot_fallback()
             return 0
-        before = self.view.events_applied
-        self.view.refresh()
-        applied = self.view.events_applied - before
+        applied = self.view.refresh(pending)
         for event in pending:
             self._tally(event)
         return applied

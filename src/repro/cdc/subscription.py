@@ -7,41 +7,45 @@ Every consumer of a server's applied-operation stream runs the same
 count-acknowledged FIFO protocol (PR 2): per-link FIFO delivery makes
 the stream a consumer actually received a prefix of the stream the
 producer sent, so the consumer's received-message *count* alone
-identifies exactly which sent messages were lost.  The sender-side
-bookkeeping for the :class:`Subscription` buffers of this module
-(derived views and replica bootstrap) is :class:`StreamCursor`; the
-per-peer exchange marks of :class:`~repro.server.shard.ShardServer`
-are plain sent counts over its dense commit log.
+identifies exactly which sent messages were lost.  None of the three
+keeps a copy of what it sends; each is a position over a log the
+server already holds:
 
-A :class:`ChangeStream` hangs off every server and turns its commit
-path into :class:`~repro.cdc.events.ChangeEvent`s.  Emission costs two
-integer updates per applied operation until the first subscriber
-arrives (positions and cuts must account for the server's entire
-history); with subscribers attached, each event is built once and
-offered to every subscription's bounded buffer.  The stream keeps no
-history of its own: ``from_cut`` replay rebuilds events from the
-owner's trace, the server's one in-memory log of applied operations.
+- a client session's stream is the trace minus the client's own
+  echoes (:class:`~repro.server.backend.ClientSession`);
+- a shard exchange mark is one sent count over the dense commit log
+  of :class:`~repro.server.shard.ShardServer`;
+- a :class:`Subscription` (derived views and replica bootstrap) is a
+  ``start`` position in its owner's trace plus a ``consumed`` count.
+
+A :class:`ChangeStream` hangs off every server and numbers its commit
+path: each applied operation advances the stream ``position`` and the
+per-origin-shard count vector (cuts must account for the server's
+entire history).  The stream keeps no history: :meth:`Subscription.poll`
+builds :class:`~repro.cdc.events.ChangeEvent`s from the owner's trace,
+the server's one in-memory log of applied operations, so ``from_cut``
+replay and the live tail are one read.
 
 Overflow → snapshot fallback
 ----------------------------
 
-A subscription's buffer is a cursor window: when unacknowledged events
-fall off the window, the subscription is *lost* — :meth:`Subscription.poll`
-returns ``None`` and the consumer must call :meth:`Subscription.resync`,
-which hands it a fresh ``(BootstrapState, Cut)`` snapshot and resets
-the count epoch on both sides.  This is exactly the snapshot path of
-the client resync protocol, applied to in-process consumers.
+A subscription's ``capacity`` bounds its unconsumed events: once more
+than ``capacity`` are pending, the subscription is *lost* —
+:meth:`Subscription.poll` returns ``None`` and the consumer must call
+:meth:`Subscription.resync`, which hands it a fresh
+``(BootstrapState, Cut)`` snapshot and starts a new count epoch at the
+snapshot's position.  This is exactly the snapshot path of the client
+resync protocol, applied to in-process consumers.  The bound is checked
+on every applied operation.
 
 A crashed owner has lost its volatile state, so reading it would hand
-the consumer a wiped replica: :meth:`Subscription.resync` and
-:meth:`Subscription.read_chunk` raise :class:`StreamUnavailableError`
-until the owner has recovered.
+the consumer a wiped replica: :meth:`ChangeStream.subscribe`,
+:meth:`Subscription.resync` and :meth:`Subscription.read_chunk` raise
+:class:`StreamUnavailableError` until the owner has recovered.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
 from typing import Any
 
 from repro.cdc.events import (
@@ -63,131 +67,101 @@ class StreamUnavailableError(RuntimeError):
     """
 
 
-class StreamCursor:
-    """Sender-side position bookkeeping for one FIFO stream consumer.
-
-    ``sent_count`` counts every item sent since the cursor's last *sync
-    epoch*; ``refs`` retains the replay references (trace seqs, or the
-    events themselves) of the most recent sends.  ``window`` bounds the
-    retained refs: an integer keeps that many, ``None`` keeps all
-    (trusted in-process consumers), and ``0`` keeps none (the count
-    alone is kept).
-    """
-
-    __slots__ = ("sent_count", "refs", "window")
-
-    def __init__(self, window: int | None = 0) -> None:
-        if window is not None and window < 0:
-            raise ValueError(f"cursor window must be >= 0: {window}")
-        self.window = window
-        self.sent_count = 0
-        self.refs: deque[Any] = deque()
-
-    def record_send(self, ref: Any = None) -> None:
-        """One item went out; retain its replay ref (window permitting)."""
-        self.sent_count += 1
-        window = self.window
-        if window == 0:
-            return
-        self.refs.append(ref)
-        if window is not None:
-            while len(self.refs) > window:
-                self.refs.popleft()
-
-    def record_bulk(self, count: int) -> None:
-        """Advance the sent count by *count* without retaining refs (a
-        replay-gap initialization marks a forgotten prefix)."""
-        self.sent_count += count
-
-    @property
-    def dropped_prefix(self) -> int:
-        """Sent items whose refs have been forgotten (acked-or-bust)."""
-        return self.sent_count - len(self.refs)
-
-    def unacked(self, acknowledged: int) -> list[Any] | None:
-        """Replay refs past the acknowledged prefix, oldest first, or
-        ``None`` when the suffix starts before the retained refs."""
-        if acknowledged < self.dropped_prefix:
-            return None
-        return list(self.refs)[acknowledged - self.dropped_prefix:]
-
-    def reset(self) -> None:
-        """A snapshot resync starts a fresh count epoch on both sides."""
-        self.sent_count = 0
-        self.refs.clear()
-
-
 class Subscription:
-    """One consumer's bounded, count-acknowledged view of a change stream.
+    """One consumer's bounded, count-acknowledged position in a change
+    stream.
 
+    The events of the current epoch are the owner's trace records from
+    stream position :attr:`start` up to the stream's position (frozen at
+    :meth:`close`); the first :attr:`consumed` of them are acknowledged.
     Consumers pull with :meth:`poll` and acknowledge with :meth:`ack`
     (a cumulative count, like the client session protocol); a consumer
     attaching mid-run reads :meth:`read_chunk` until exhausted to build
-    the snapshot prefix the stream no longer retains (see
+    the snapshot prefix the subscription does not cover (see
     :class:`repro.cdc.view.CdcView` for the certified merge).
     """
 
     def __init__(
-        self, stream: "ChangeStream", name: str, capacity: int | None
+        self,
+        stream: "ChangeStream",
+        name: str,
+        capacity: int | None,
+        start: int,
     ) -> None:
         self.stream = stream
         self.name = name
-        self.cursor = StreamCursor(window=capacity)
+        self.capacity = capacity
+        #: Stream position of the current epoch's first event.
+        self.start = start
         self.consumed = 0
         self.overflows = 0
         self.snapshot_fallbacks = 0
+        self._end: int | None = None
         self._lost = False
         self._ns_index = 0
         self._after: Any = None
         self.chunks_read = 0
 
     @property
-    def capacity(self) -> int | None:
-        return self.cursor.window
+    def sent_count(self) -> int:
+        """Events of the current epoch so far: the stream position
+        (frozen at :meth:`close`) minus :attr:`start`."""
+        end = self.stream.position if self._end is None else self._end
+        return end - self.start
 
     @property
     def lost(self) -> bool:
-        """Did unacknowledged events fall off the buffer (or did the
-        subscription start past the stream's retention)?  A lost
+        """Did more than ``capacity`` events go unconsumed (or did the
+        subscription start past the history the owner retains)?  A lost
         subscription must :meth:`resync` before polling again."""
         return self._lost
 
-    # -- producer side ------------------------------------------------------
-
-    def offer(self, event: ChangeEvent) -> None:
-        if self._lost:
-            return  # buffering is pointless until the consumer resyncs
-        cursor = self.cursor
-        cursor.record_send(event)
-        if cursor.dropped_prefix > self.consumed:
-            self._lost = True
-            self.overflows += 1
-            obs = self.stream.obs
-            if obs.enabled:
-                obs.inc(f"{self.stream.obs_ns}.cdc.overflows")
-                obs.event(
-                    f"{self.stream.obs_ns}.cdc.overflow",
-                    subscription=self.name,
-                    pending=cursor.sent_count - self.consumed,
-                )
+    def _overflow(self) -> None:
+        """The backlog just reached ``capacity + 1`` events: mark the
+        subscription lost until the consumer resyncs."""
+        self._lost = True
+        self.overflows += 1
+        stream = self.stream
+        obs = stream.obs
+        if obs.enabled:
+            obs.inc(f"{stream.obs_ns}.cdc.overflows")
+            obs.event(
+                f"{stream.obs_ns}.cdc.overflow",
+                subscription=self.name,
+                pending=self.capacity + 1,
+            )
 
     # -- consumer side ------------------------------------------------------
 
     def poll(self) -> list[ChangeEvent] | None:
-        """The buffered events past the acknowledged prefix, oldest
-        first — or ``None`` when events were lost to overflow and the
-        consumer must fall back to :meth:`resync`."""
+        """The events past the acknowledged prefix, oldest first, built
+        from the owner's trace — or ``None`` when the subscription is
+        lost and the consumer must fall back to :meth:`resync`."""
         if self._lost:
             return None
-        return self.cursor.unacked(self.consumed)
+        stream = self.stream
+        trace = stream.owner.trace
+        position = stream.position
+        end = position if self._end is None else self._end
+        # Every note appends one trace record, so position p lives at
+        # trace index p - base (base > 0 on a replica seeded from a
+        # snapshot cut).
+        base = position - len(trace)
+        first = self.start + self.consumed
+        return [
+            _event(index, record)
+            for index, record in enumerate(
+                trace[first - base:end - base], first
+            )
+        ]
 
     def ack(self, count: int) -> None:
         """Acknowledge the first *count* events of this epoch
         (cumulative, like the client session's received count)."""
-        if count < self.consumed or count > self.cursor.sent_count:
+        if count < self.consumed or count > self.sent_count:
             raise ValueError(
                 f"subscription {self.name!r} acked {count} events but "
-                f"holds {self.consumed}..{self.cursor.sent_count}"
+                f"holds {self.consumed}..{self.sent_count}"
             )
         self.consumed = count
 
@@ -200,7 +174,7 @@ class Subscription:
 
     def resync(self) -> tuple[Any, Cut]:
         """Snapshot fallback: a fresh ``(BootstrapState, Cut)`` of the
-        producer's state, resetting the count epoch on both sides (the
+        producer's state, starting a new count epoch at the cut (the
         snapshot path of the client resync protocol).
 
         Raises:
@@ -208,7 +182,7 @@ class Subscription:
         """
         self.stream.check_available(self.name)
         state, cut = self.stream.snapshot_cut()
-        self.cursor.reset()
+        self.start = cut.position
         self.consumed = 0
         self._lost = False
         self._ns_index = len(NAMESPACES)  # any bootstrap read is moot now
@@ -224,7 +198,10 @@ class Subscription:
         return state, cut
 
     def close(self) -> None:
-        """Detach from the stream (no further events are offered)."""
+        """Detach from the stream: the epoch's events end at the current
+        position."""
+        if self._end is None:
+            self._end = self.stream.position
         self.stream.unsubscribe(self)
 
     # -- chunked snapshot reads ---------------------------------------------
@@ -234,8 +211,8 @@ class Subscription:
         return self._ns_index >= len(NAMESPACES)
 
     def skip_bootstrap(self) -> None:
-        """Mark the chunked bootstrap as unnecessary (the subscription's
-        buffer already covers the stream's entire history)."""
+        """Mark the chunked bootstrap as unnecessary (the subscription
+        already covers the stream's entire history)."""
         self._ns_index = len(NAMESPACES)
 
     def read_chunk(self, max_entries: int = 64) -> SnapshotChunk | None:
@@ -246,9 +223,10 @@ class Subscription:
         chunk.  Each chunk is stamped with the stream cut at read time
         (its low/high watermarks — equal here, the read being atomic
         within one simulated instant).  Returns ``None`` once every
-        namespace is exhausted.  The producer is never paused: events
-        keep flowing into the buffer between reads, and the consumer
-        reconciles them against the chunk windows at merge time.
+        namespace is exhausted.  The producer is never paused:
+        operations keep committing past the subscription's start
+        between reads, and the consumer reconciles their events against
+        the chunk windows at merge time.
 
         Raises:
             StreamUnavailableError: the owner is crashed.
@@ -318,22 +296,18 @@ class ChangeStream:
 
     The owning server calls :meth:`note` for every operation it applies
     (see ``BackendServer._log``); the stream maintains the apply-order
-    position and the per-origin-shard count vector at all times, and —
-    once any consumer has subscribed — builds one
-    :class:`~repro.cdc.events.ChangeEvent` per operation and offers it
-    to every live subscription.  ``from_cut`` replay reads the newest
-    ``retention`` positions back out of the owner's ``trace``.
+    position and the per-origin-shard count vector, and checks each
+    bounded subscription's backlog against its capacity.  Events are
+    built only when a subscription polls, from the owner's ``trace``;
+    a ``from_cut`` subscription may start up to the owner's
+    ``oplog_capacity`` positions back.
     """
 
-    def __init__(self, owner: Any, retention: int = 512) -> None:
-        if retention < 1:
-            raise ValueError(f"stream retention must be >= 1: {retention}")
+    def __init__(self, owner: Any) -> None:
         self.owner = owner
-        self.retention = retention
         self.position = 0
         self._counts: dict[int, int] = {}
         self._subs: list[Subscription] = []
-        self.active = False
 
     @property
     def obs(self) -> Any:
@@ -382,10 +356,10 @@ class ChangeStream:
     def amnesia(self) -> None:
         """The owner crashed: forget the stream's entire history so
         recovery can re-:meth:`seed` it at the rebuilt coordinates, and
-        mark every live subscription *lost* — its unacknowledged buffer
-        died with the process, so the consumer must snapshot-resync
-        against the recovered state (the same fallback an overflow
-        forces)."""
+        mark every live subscription *lost* — the trace its unconsumed
+        events lived in died with the process, so the consumer must
+        snapshot-resync against the recovered state (the same fallback
+        an overflow forces)."""
         self.position = 0
         self._counts = {}
         for sub in self._subs:
@@ -401,21 +375,25 @@ class ChangeStream:
         """One operation was applied at its origin coordinate
         ``(record.shard_id, record.lseq)``.
 
-        Called on the commit path for *every* applied operation: the
-        position/count bookkeeping is unconditional (cuts must describe
-        the server's entire history), event construction and fan-out
-        only happen while a subscriber is attached.
+        Called on the commit path for *every* applied operation, after
+        the owner appended *record* to its trace: the position/count
+        bookkeeping is unconditional (cuts must describe the server's
+        entire history), and a bounded subscription whose backlog now
+        exceeds its capacity is lost here, at the op that overflowed it.
         """
         counts = self._counts
         shard_id = record.shard_id
         counts[shard_id] = counts.get(shard_id, 0) + 1
-        position = self.position
-        self.position = position + 1
-        if not self.active:
-            return
-        event = _event(position, record)
+        position = self.position + 1
+        self.position = position
         for sub in self._subs:
-            sub.offer(event)
+            capacity = sub.capacity
+            if (
+                capacity is not None
+                and not sub._lost
+                and position - sub.start - sub.consumed > capacity
+            ):
+                sub._overflow()
 
     # -- consumer side ------------------------------------------------------
 
@@ -431,42 +409,46 @@ class ChangeStream:
         Args:
             name: diagnostic label (obs events and errors).
             from_cut: resume position.  ``None`` subscribes live (events
-                from now on).  A cut within the newest ``retention``
-                positions replays the gap from the owner's trace into
-                the buffer; an older cut (or one before the history the
-                owner's trace holds, e.g. a seeded replica's) leaves the
-                subscription *lost* — its first :meth:`Subscription.poll`
-                returns ``None`` and the consumer snapshot-resyncs,
-                exactly as a too-stale client reattach would.
-            capacity: buffer bound (``None`` = unbounded, for trusted
+                from now on).  A cut within the newest
+                ``owner.oplog_capacity`` positions starts the
+                subscription there, so its first poll replays the gap
+                from the owner's trace; an older cut (or one before the
+                history the owner's trace holds, e.g. a seeded
+                replica's) leaves the subscription *lost* — its first
+                :meth:`Subscription.poll` returns ``None`` and the
+                consumer snapshot-resyncs, exactly as a too-stale client
+                reattach would.  A gap larger than *capacity* overflows
+                at once.
+            capacity: the most unconsumed events the consumer tolerates
+                before it is lost (``None`` = unbounded, for trusted
                 in-process consumers).
+
+        Raises:
+            StreamUnavailableError: the owner is crashed.
         """
-        self.active = True
-        sub = Subscription(self, name, capacity)
-        if from_cut is not None:
-            gap = self.position - from_cut.position
-            if gap < 0:
-                raise ValueError(
-                    f"subscription {name!r} starts at position "
-                    f"{from_cut.position} but the stream is at {self.position}"
-                )
-            trace = self.owner.trace
-            # Every note appends one trace record, so position p lives
-            # at trace index p - base (base > 0 on a replica seeded
-            # from a snapshot cut).
-            base = self.position - len(trace)
-            start = from_cut.position - base
-            if gap > self.retention or start < 0:
-                # The gap reaches past retention (or past the history
-                # the trace holds): mark it forgotten so the consumer
-                # falls back to a snapshot.
-                sub.cursor.record_bulk(gap)
+        self.check_available(name)
+        if capacity is not None and capacity < 0:
+            raise ValueError(
+                f"subscription {name!r} capacity must be >= 0: {capacity}"
+            )
+        position = self.position
+        start = position if from_cut is None else from_cut.position
+        gap = position - start
+        if gap < 0:
+            raise ValueError(
+                f"subscription {name!r} starts at position "
+                f"{start} but the stream is at {position}"
+            )
+        sub = Subscription(self, name, capacity, start)
+        if gap:
+            base = position - len(self.owner.trace)
+            if gap > self.owner.oplog_capacity or start < base:
+                # The gap reaches past the replay horizon (or past the
+                # history the trace holds): the consumer falls back to
+                # a snapshot.
                 sub._lost = True
-            else:
-                for index, record in enumerate(
-                    islice(trace, start, None), from_cut.position
-                ):
-                    sub.offer(_event(index, record))
+            elif capacity is not None and gap > capacity:
+                sub._overflow()
         self._subs.append(sub)
         obs = self.obs
         if obs.enabled:
@@ -474,7 +456,7 @@ class ChangeStream:
             obs.event(
                 f"{self.obs_ns}.cdc.subscribe",
                 subscription=name,
-                position=self.position,
+                position=position,
             )
         return sub
 

@@ -8,9 +8,10 @@ pausing:
    reads one :class:`~repro.cdc.events.SnapshotChunk` per call — a key
    window of one namespace, stamped with the stream cut (low/high
    watermarks) at read time.  Chunks may be read at different simulated
-   instants while operations keep committing; the events emitted in
-   between accumulate in the subscription buffer.
-2. *Certified merge*: after the last chunk, every buffered event is
+   instants while operations keep committing; the subscription's start
+   position precedes every chunk read, so the events of those
+   operations stay pending on it.
+2. *Certified merge*: after the last chunk, every pending event is
    replayed through a per-key filter — the event's effect on key ``k``
    is applied iff the chunk window containing ``k`` does **not** cover
    the event's origin coordinate (``lseq >= high[shard_id]``), i.e. iff
@@ -24,11 +25,11 @@ Why the merge converges
 
 A chunk window's ``high`` cut is downward closed in the producer's
 apply order (the producer applies each origin shard's commits in dense
-lseq order), and the subscription buffers *every* event emitted after
+lseq order), and the subscription holds *every* event emitted after
 the subscribe point, which precedes every chunk read.  So for any key
 ``k`` with window cut ``C``: effects on ``k`` from events inside ``C``
 are reflected by the chunk entries (the select read post-event state),
-effects outside ``C`` are all in the buffer and replayed exactly once.
+effects outside ``C`` are all pending and replayed exactly once.
 Keys created after their window was read are absent from the chunk but
 their creating event lies outside the window cut, so replay recreates
 them; superseded-id tombstones are grow-only and idempotent, so they
@@ -97,13 +98,13 @@ class CdcView:
         self.events_applied = 0
         #: The stream cut the view last converged to.
         self.cut: Cut = Cut(0, ())
-        # A subscription whose buffer covers the stream's entire
-        # history (subscribed at birth, or replayed from a covered cut
-        # of 0) has nothing to chunk-read: folding the buffer forward
-        # from the empty state is already exact.
+        # A subscription that covers the stream's entire history
+        # (subscribed at birth, or resumed from a covered cut of 0) has
+        # nothing to chunk-read: folding its events forward from the
+        # empty state is already exact.
         if (
             not subscription.lost
-            and subscription.cursor.sent_count == subscription.stream.position
+            and subscription.sent_count == subscription.stream.position
         ):
             subscription.skip_bootstrap()
 
@@ -117,9 +118,9 @@ class CdcView:
 
     def step(self, max_entries: int = 64) -> bool:
         """Read and ingest one snapshot chunk; returns ``True`` while
-        more chunks remain.  On the final chunk the buffered events are
+        more chunks remain.  On the final chunk the pending events are
         certified-merged and the view goes live.  A lost subscription
-        (buffer overflow during bootstrap) falls back to a snapshot."""
+        (overflow during bootstrap) falls back to a snapshot."""
         if self.sub.lost:
             self._snapshot_fallback()
             return False
@@ -154,7 +155,7 @@ class CdcView:
         self._windows[ns].append((chunk.boundary, chunk.high))
 
     def _merge(self) -> None:
-        """Certified merge: replay every buffered event through the
+        """Certified merge: replay every pending event through the
         per-key chunk-window filter, then go live."""
         events = self.sub.take()
         if events is None:
@@ -193,23 +194,32 @@ class CdcView:
 
     # -- live tail ----------------------------------------------------------
 
-    def refresh(self) -> int:
+    def refresh(self, events: list[ChangeEvent] | None = None) -> int:
         """Fold all pending events in; returns how many were applied.
-        Falls back to a snapshot when the buffer overflowed.  After a
+        Falls back to a snapshot when the subscription is lost.  After a
         refresh the view is byte-equivalent to the producer's replica
-        at :attr:`cut` (events are offered synchronously with apply)."""
-        if not self.sub.bootstrap_done:
+        at :attr:`cut` (the subscription reads the producer's trace).
+
+        Args:
+            events: the pending events, when the caller already polled
+                them from this view's subscription (they are built once
+                per poll); ``None`` polls here.
+        """
+        sub = self.sub
+        if not sub.bootstrap_done:
             raise RuntimeError(
                 f"view {self.label!r} is still bootstrapping; drive "
                 "step() to completion first"
             )
-        events = self.sub.take()
         if events is None:
-            self._snapshot_fallback()
-            return 0
+            events = sub.poll()
+            if events is None:
+                self._snapshot_fallback()
+                return 0
+        sub.ack(sub.consumed + len(events))
         for event in events:
             self._apply_event(event)
-        self.cut = self.sub.stream.cut()
+        self.cut = sub.stream.cut()
         return len(events)
 
     # -- event application --------------------------------------------------

@@ -131,13 +131,18 @@ class DurableLog:
 
     def truncate_tail(self, nbytes: int) -> None:
         """Tear the last *nbytes* off the log — the crash-fault hook
-        simulating a record interrupted mid-write."""
+        simulating a record interrupted mid-write.  Every record that
+        loses its terminating newline leaves :attr:`records_appended`,
+        so the count stays the number of records :meth:`replay`
+        returns."""
         if nbytes < 0 or nbytes > len(self._buf):
             raise ValueError(
                 f"cannot tear {nbytes} bytes off a {len(self._buf)}-byte log"
             )
         if nbytes:
-            del self._buf[len(self._buf) - nbytes:]
+            cut = len(self._buf) - nbytes
+            self.records_appended -= self._buf.count(b"\n", cut)
+            del self._buf[cut:]
 
     def replay(self) -> tuple[list[WalRecord], int]:
         """Decode the durable records, oldest first.
@@ -203,14 +208,17 @@ class DurableStore:
         self.log = DurableLog()
         self._checkpoint: bytes | None = None
         self.checkpoints_taken = 0
-        self.records_since_checkpoint = 0
         #: WAL records appended before the latest checkpoint was saved.
         self.records_covered = 0
         self.recoveries = 0
 
     def append(self, record: WalRecord) -> None:
         self.log.append(record)
-        self.records_since_checkpoint += 1
+
+    @property
+    def records_since_checkpoint(self) -> int:
+        """WAL records past the latest checkpoint."""
+        return self.log.records_appended - self.records_covered
 
     @property
     def checkpoint_due(self) -> bool:
@@ -232,7 +240,6 @@ class DurableStore:
         keeps the same no-aliasing property)."""
         self._checkpoint = _encode_line(document)
         self.checkpoints_taken += 1
-        self.records_since_checkpoint = 0
         self.records_covered = self.log.records_appended
 
     def load_checkpoint(self) -> dict[str, Any] | None:

@@ -351,7 +351,7 @@ class BackendServer:
                 f"{self._obs_ns}.messages_applied", lambda: len(self.trace)
             )
         self.oplog_capacity = oplog_capacity
-        self.changes = ChangeStream(self, retention=oplog_capacity)
+        self.changes = ChangeStream(self)
         self._clients: list[str] = []
         self._sessions: dict[str, ClientSession] = {}
         self.on_complete = on_complete

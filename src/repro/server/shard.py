@@ -1530,9 +1530,9 @@ class FollowerBootstrap:
     The driver subscribes a :class:`~repro.cdc.view.CdcView` to the
     primary's change stream and reads DBLog-style snapshot chunks, one
     per :meth:`step`, at whatever simulated cadence the caller chooses;
-    operations keep committing between steps and accumulate in the
-    subscription buffer.  :meth:`promote` is the atomic hand-over: the
-    buffered tail is certified-merged, the converged view materializes
+    operations keep committing between steps and stay pending on the
+    subscription.  :meth:`promote` is the atomic hand-over: the
+    pending tail is certified-merged, the converged view materializes
     as a :class:`~repro.server.backend.BootstrapState` at a known
     :class:`~repro.cdc.events.Cut`, and a new :class:`ShardServer` is
     constructed from that pair and spliced into every owner shard's

@@ -1,9 +1,8 @@
 """Unit tests for the CDC subsystem (repro.cdc).
 
-Covers the pieces in isolation — :class:`StreamCursor` window
-semantics, the wire codecs, :class:`ChangeStream` emission and
-``from_cut`` replay, :class:`Subscription` overflow → snapshot
-fallback, the chunked :class:`CdcView` bootstrap against a live
+Covers the pieces in isolation — the wire codecs, :class:`ChangeStream`
+emission and ``from_cut`` replay, :class:`Subscription` positions,
+overflow → snapshot fallback, the chunked :class:`CdcView` bootstrap against a live
 backend, the leaderboard consumer, the session facade, and a
 quiet-stream follower bootstrap.  The mid-run, fault-overlaid
 convergence properties live in ``tests/test_cdc_properties.py``.
@@ -21,7 +20,6 @@ from repro.cdc import (
     Cut,
     LeaderboardView,
     SnapshotChunk,
-    StreamCursor,
     StreamUnavailableError,
     change_event_from_dict,
     chunk_from_dict,
@@ -116,54 +114,6 @@ def capture_doc(backend) -> str:
     return dump_json(canonical_state(BootstrapState.capture(backend.replica)))
 
 
-# -- StreamCursor -------------------------------------------------------------
-
-
-def test_cursor_unbounded_window_retains_everything():
-    cursor = StreamCursor(window=None)
-    for ref in range(5):
-        cursor.record_send(ref)
-    assert cursor.sent_count == 5
-    assert cursor.dropped_prefix == 0
-    assert cursor.unacked(0) == [0, 1, 2, 3, 4]
-    assert cursor.unacked(3) == [3, 4]
-    assert cursor.unacked(5) == []
-
-
-def test_cursor_zero_window_counts_only():
-    cursor = StreamCursor(window=0)
-    cursor.record_send("ignored")
-    cursor.record_bulk(3)
-    assert cursor.sent_count == 4
-    assert cursor.dropped_prefix == 4
-    # No refs retained: any suffix starting before the count is lost...
-    assert cursor.unacked(2) is None
-    # ...but the full prefix acknowledges cleanly.
-    assert cursor.unacked(4) == []
-
-
-def test_cursor_bounded_window_overflow_reset():
-    cursor = StreamCursor(window=3)
-    for ref in range(5):
-        cursor.record_send(ref)
-    assert cursor.dropped_prefix == 2
-    assert cursor.unacked(1) is None  # ref 1 fell off the window
-    assert cursor.unacked(2) == [2, 3, 4]
-    assert cursor.unacked(4) == [4]
-    # Rolling a sent mark back to an acknowledged count is the shard
-    # exchange's job (a plain int there, see
-    # test_resync_peer_rolls_the_sent_mark_back_and_resends); a
-    # subscription only ever resets.
-    cursor.reset()
-    assert cursor.sent_count == 0
-    assert cursor.unacked(0) == []
-
-
-def test_cursor_rejects_negative_window():
-    with pytest.raises(ValueError, match="window"):
-        StreamCursor(window=-1)
-
-
 # -- wire codecs --------------------------------------------------------------
 
 
@@ -240,9 +190,7 @@ def test_stream_without_subscribers_only_counts(monkeypatch):
     monkeypatch.setattr(subscription, "ChangeEvent", no_events)
     sim, backend, clients = make_backend()
     drive_some_ops(sim, backend, clients)
-    stream = backend.changes
-    assert not stream.active
-    assert stream.position == len(backend.trace)
+    assert backend.changes.position == len(backend.trace)
 
 
 def test_events_carry_worker_attribution():
@@ -265,7 +213,7 @@ def test_ack_outside_epoch_bounds_raises():
     sim, backend, clients = make_backend()
     sub = backend.subscribe("test")
     drive_some_ops(sim, backend, clients)
-    sent = sub.cursor.sent_count
+    sent = sub.sent_count
     with pytest.raises(ValueError, match="acked"):
         sub.ack(sent + 1)
     sub.ack(sent)
@@ -294,11 +242,51 @@ def test_closed_subscription_receives_nothing_more():
     sim, backend, clients = make_backend()
     sub = backend.subscribe("test")
     drive_some_ops(sim, backend, clients)
-    seen = sub.cursor.sent_count
+    seen = sub.sent_count
     sub.close()
     extra_fill(sim, clients[0])
-    assert sub.cursor.sent_count == seen
+    assert sub.sent_count == seen
     assert sub not in backend.changes.subscriptions
+
+
+def test_subscribe_rejects_negative_capacity():
+    sim, backend, clients = make_backend()
+    with pytest.raises(ValueError, match="capacity"):
+        backend.subscribe("negative", capacity=-1)
+
+
+def test_poll_reads_the_trace_and_close_freezes_the_end():
+    """A subscription is a position in its owner's trace: ``poll()``
+    builds exactly ``trace[start:]``, field by field, and a closed
+    subscription's events stop at the position it closed at."""
+    sim, backend, clients = make_backend()
+    backend.start()
+    sim.run()
+    start = backend.changes.position
+    sub = backend.subscribe("mid")
+    assert sub.start == start
+    filled = fill_row(clients[0], clients[0].replica.table.row_ids()[0])
+    sim.run()
+    tail = backend.trace[start:]
+    assert tail  # the fill really added history after the subscribe
+    assert [
+        (e.position, e.shard_id, e.lseq, e.timestamp, e.worker_id, e.message)
+        for e in sub.poll()
+    ] == [
+        (r.seq, r.shard_id, r.lseq, r.timestamp, r.worker_id, r.message)
+        for r in tail
+    ]
+    sub.ack(2)
+    sub.close()
+    closed_at = backend.changes.position
+    other = [r for r in clients[1].replica.table.row_ids() if r != filled][0]
+    clients[1].fill(other, "name", "Xavi")
+    sim.run()
+    assert backend.changes.position > closed_at
+    assert sub.sent_count == closed_at - start
+    assert [e.position for e in sub.poll()] == list(
+        range(start + 2, closed_at)
+    )
 
 
 # -- from_cut resume ----------------------------------------------------------
@@ -339,7 +327,6 @@ def test_subscribe_from_cut_before_first_subscriber_replays():
     backend.start()
     sim.run()
     early_cut = backend.changes.cut()
-    assert not backend.changes.active
     fill_row(clients[0], clients[0].replica.table.row_ids()[0])
     sim.run()
     resumed = backend.subscribe("late", from_cut=early_cut)
@@ -406,6 +393,49 @@ def test_crashed_owner_refuses_cdc_reads():
     assert dump_json(canonical_state(board.view.state())) == capture_doc(
         backend
     )
+
+
+def test_subscribe_from_cut_gap_past_capacity_overflows_at_once():
+    """A ``from_cut`` gap inside the replay horizon but larger than the
+    subscription's capacity leaves it lost, counted as one overflow."""
+    sim, backend, clients = make_backend(oplog_capacity=64)
+    drive_some_ops(sim, backend, clients)
+    position = backend.changes.position
+    assert position > 3
+    sub = backend.subscribe("narrow", from_cut=Cut(0, ()), capacity=3)
+    assert sub.lost
+    assert sub.overflows == 1
+    assert sub.poll() is None
+    wide = backend.subscribe("wide", from_cut=Cut(0, ()), capacity=position)
+    assert not wide.lost and wide.overflows == 0
+    extra_fill(sim, clients[0])
+    assert wide.lost and wide.overflows == 1  # one op past its bound
+    assert sub.overflows == 1  # a lost subscription is not re-counted
+
+
+def test_subscribe_on_a_crashed_owner_raises():
+    """A consumer attaching while the owner is crashed would start at
+    the wiped stream's position 0 and never see the recovered history:
+    subscribe raises until the owner has recovered, and a view attached
+    after recovery converges to the recovered state."""
+    sim = Simulator()
+    network = Network(sim, streams=RngStreams(0))
+    backend = ShardedBackend(
+        sim, network, soccer_player_schema(), SCORING,
+        Template.cardinality(2), shards=2, durability=DurabilityConfig(),
+    )
+    backend.start()
+    sim.run()
+    primary = backend.primary
+    primary.crash()
+    with pytest.raises(StreamUnavailableError, match="crashed"):
+        backend.subscribe("late")
+    primary.recover()
+    primary.complete_recovery()
+    view = CdcView(backend.subscribe("late")).bootstrap()
+    view.refresh()
+    assert len(view.rows) == len(primary.replica.table) == 2
+    assert dump_json(canonical_state(view.state())) == capture_doc(backend)
 
 
 def test_subscribe_from_future_cut_raises():

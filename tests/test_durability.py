@@ -103,6 +103,19 @@ def test_log_tearing_the_whole_last_record_is_a_clean_log():
     assert torn == 0
 
 
+def test_truncate_tail_uncounts_the_records_it_tears():
+    """Tearing into a record's terminating newline takes it out of
+    ``records_appended``, which stays the number of records replayed."""
+    log = DurableLog()
+    log.append(make_record(lseq=0))
+    log.append(make_record(lseq=1))
+    log.truncate_tail(5)
+    replayed, torn = log.replay()
+    assert [r.lseq for r in replayed] == [0]
+    assert torn > 0
+    assert log.records_appended == 1
+
+
 def test_truncate_tail_validates_bounds():
     log = DurableLog()
     log.append(make_record())
@@ -193,6 +206,23 @@ def test_store_seeded_checkpoint_keeps_the_minimum_gap():
     store.save_checkpoint({"version": 1})
     assert store.records_covered == 0
     assert _due_points(store, 9) == [4, 8]
+
+
+def test_store_checkpoint_cadence_after_a_tear():
+    """A record torn off the WAL no longer counts toward the next
+    checkpoint: the suffix since the last one is what the log holds."""
+    store = DurableStore(DurabilityConfig(checkpoint_interval=3))
+    assert _due_points(store, 3) == [3]
+    store.append(make_record(lseq=3))
+    before = store.log.size_bytes
+    store.append(make_record(lseq=4))
+    assert store.records_since_checkpoint == 2
+    store.log.truncate_tail(store.log.size_bytes - before)
+    assert store.records_since_checkpoint == 1
+    store.append(make_record(lseq=4))
+    assert not store.checkpoint_due
+    store.append(make_record(lseq=5))
+    assert store.checkpoint_due
 
 
 def test_store_load_checkpoint_builds_fresh_document():
