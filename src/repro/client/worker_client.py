@@ -85,6 +85,8 @@ class WorkerClient:
         self._listeners: list[Callable[[Message], None]] = []
         self.actions_performed = 0
         self._connected = True
+        #: Connected → disconnected transitions (outages and crashes).
+        self.disconnects = 0
         self._outbox: list[Message] = []
         self.messages_received = 0
         self.resync_kinds: list[str] = []
@@ -136,6 +138,7 @@ class WorkerClient:
         if not self._connected:
             return
         self._connected = False
+        self.disconnects += 1
 
     def requeue_unsent(self, messages: list[Message]) -> None:
         """Hand back messages purged from the wire mid-flight.

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.client import WorkerClient
 from repro.core.scoring import ScoringFunction, ThresholdScoring
 from repro.experiments.harness import (
     ExperimentConfig,
@@ -34,10 +33,8 @@ from repro.experiments.harness import (
 )
 from repro.net import DisconnectWindow, FaultInjector, FaultPlan
 from repro.net import UniformLatency
-from repro.server.backend import BackendServer
 from repro.session import CollectionSession, WorkerSpec
 from repro.sim import RngStreams
-from repro.workers import SimulatedWorker
 
 
 @dataclass(frozen=True)
@@ -160,18 +157,7 @@ def run_churn_experiment(
 
     plan = build_churn_plan(config, worker_ids)
     injector = FaultInjector(session.sim, session.network, plan)
-    if hasattr(backend, "bind_faults"):
-        # Sharded runs: wire shard-exchange resync into heal events.
-        backend.bind_faults(injector)
-    for victim in plan.faulted_endpoints():
-        client = session.clients[victim]
-        worker = session.workers[victim]
-        injector.bind(
-            victim,
-            on_disconnect=_make_on_disconnect(backend, client, worker),
-            on_reconnect=_make_on_reconnect(backend, client, worker),
-            on_requeue=client.requeue_unsent,
-        )
+    backend.bind_faults(injector, clients=session.clients)
     injector.install()
 
     session.run(until=base.max_sim_time)
@@ -190,8 +176,8 @@ def run_churn_experiment(
     outcomes = [
         WorkerChurnOutcome(
             worker_id=worker_id,
-            disconnects=session.workers[worker_id].log.disconnects,
-            reconnects=session.workers[worker_id].log.reconnects,
+            disconnects=session.clients[worker_id].disconnects,
+            reconnects=len(session.clients[worker_id].resync_kinds),
             offline_actions=session.workers[worker_id].log.offline_actions,
             resync_kinds=list(session.clients[worker_id].resync_kinds),
         )
@@ -215,24 +201,3 @@ def run_churn_experiment(
         messages_dropped=session.network.stats.messages_dropped,
         fault_events=len(injector.events),
     )
-
-
-def _make_on_disconnect(
-    backend: BackendServer, client: WorkerClient, worker: SimulatedWorker
-):
-    def on_disconnect() -> None:
-        backend.detach_client(client.worker_id)
-        client.disconnect()
-        worker.note_disconnect()
-
-    return on_disconnect
-
-
-def _make_on_reconnect(
-    backend: BackendServer, client: WorkerClient, worker: SimulatedWorker
-):
-    def on_reconnect() -> None:
-        client.reconnect(backend)
-        worker.note_reconnect()
-
-    return on_reconnect

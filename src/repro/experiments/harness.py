@@ -140,10 +140,6 @@ class ExperimentConfig:
     outages, shard partitions, shard crash windows) — the
     ``--fault-plan plan.json`` input.  Crash windows require a sharded
     backend (``shards=N``); durability is enabled automatically."""
-    checkpoint_interval: int | None = None
-    """The minimum gap, in WAL records, between checkpoints when
-    durability is on (the cadence is geometric past it); ``None`` uses
-    the :class:`~repro.durability.DurabilityConfig` default."""
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -300,17 +296,10 @@ class CrowdFillExperiment:
 
         plan = config.fault_plan
         durability = None
-        if config.checkpoint_interval is not None or (
-            plan is not None and plan.crashes
-        ):
+        if plan is not None and plan.crashes:
             from repro.durability import DurabilityConfig
 
-            if config.checkpoint_interval is not None:
-                durability = DurabilityConfig(
-                    checkpoint_interval=config.checkpoint_interval
-                )
-            else:
-                durability = DurabilityConfig()
+            durability = DurabilityConfig()
         if plan is not None and plan.crashes and config.shards is None:
             raise ValueError(
                 "crash windows need a sharded backend: set shards=N"
@@ -380,15 +369,11 @@ class CrowdFillExperiment:
             from repro.net import FaultInjector
 
             injector = FaultInjector(session.sim, session.network, plan)
-            for victim in plan.faulted_endpoints():
-                self._bind_worker_faults(injector, session, victim)
-            backend = session.backend
-            assert backend is not None
-            if hasattr(backend, "bind_faults"):
-                # Shard endpoints last: exchange-resync (and, with
-                # durability, crash/restart) choreography wins over any
-                # worker-style binding for the same endpoint.
-                backend.bind_faults(injector, clients=session.clients)
+            # Harness workers are built at marketplace-arrival time; the
+            # backend's handlers look each client up when its window
+            # fires.
+            assert session.backend is not None
+            session.backend.bind_faults(injector, clients=session.clients)
             injector.install()
         session.run(until=config.max_sim_time)
         if injector is not None:
@@ -441,46 +426,6 @@ class CrowdFillExperiment:
             leaderboard=board.snapshot(),
             cdc_events=export.take() if export is not None else [],
             fault_events=len(injector.events) if injector is not None else 0,
-        )
-
-    def _bind_worker_faults(
-        self, injector: Any, session: CollectionSession, victim: str
-    ) -> None:
-        """Late-binding outage choreography for one worker endpoint.
-
-        Harness workers are built at marketplace-arrival time, so the
-        handlers look the client up when the window fires; a window
-        that opens before the victim has arrived is a no-op.
-        """
-        backend = session.backend
-        assert backend is not None
-
-        def on_disconnect() -> None:
-            client = session.clients.get(victim)
-            if client is None or not backend.disconnect_worker(client):
-                return
-            worker = session.workers.get(victim)
-            if worker is not None:
-                worker.note_disconnect()
-
-        def on_reconnect() -> None:
-            client = session.clients.get(victim)
-            if client is None or not backend.reconnect_worker(client):
-                return
-            worker = session.workers.get(victim)
-            if worker is not None:
-                worker.note_reconnect()
-
-        def on_requeue(messages: list) -> None:
-            client = session.clients.get(victim)
-            if client is not None:
-                client.requeue_unsent(messages)
-
-        injector.bind(
-            victim,
-            on_disconnect=on_disconnect,
-            on_reconnect=on_reconnect,
-            on_requeue=on_requeue,
         )
 
     def _make_policy(

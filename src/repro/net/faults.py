@@ -588,9 +588,10 @@ class FaultInjector:
     *and* the scheduler of the plan's window events.  At each outage
     start it purges the endpoint's in-flight messages, requeues purged
     outbound ones through the bound ``on_requeue`` handler, and invokes
-    ``on_disconnect`` (typically wired to ``BackendServer.detach_client``
-    plus ``WorkerClient.disconnect``).  At the outage end it invokes
-    ``on_reconnect`` (typically ``WorkerClient.reconnect``).
+    ``on_disconnect``; at the outage end it invokes ``on_reconnect``.
+    A backend's ``bind_faults`` binds every handler a run needs (the
+    worker detach/reattach choreography, and on a sharded backend the
+    exchange resync and crash/restart handlers).
     """
 
     def __init__(

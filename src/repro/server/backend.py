@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterator, Literal
 
@@ -257,7 +258,6 @@ class BackendServer:
         template: constraint template (cardinality absorbed).
         on_complete: called once, when the final table first satisfies
             the template.
-        on_unsatisfiable: Central Client fallback policy.
         oplog_capacity: how many of the newest trace records count as
             *retained* for incremental client resync and ``from_cut``
             change-stream replay; a rejoin whose gap reaches past them
@@ -296,7 +296,6 @@ class BackendServer:
         scoring: ScoringFunction,
         template: Template,
         on_complete: Callable[[], None] | None = None,
-        on_unsatisfiable: str = "drop",
         oplog_capacity: int = 512,
         max_batch: int = 64,
         obs: object | None = None,
@@ -318,7 +317,6 @@ class BackendServer:
         self.scoring = scoring
         self.template = template
         self.max_batch = max_batch
-        self._on_unsatisfiable = on_unsatisfiable
         #: Durable state (WAL + checkpoints), None when durability is
         #: off.  Survives a :meth:`~repro.server.shard.ShardServer.crash`
         #: — it models the disk, not process memory.
@@ -365,7 +363,6 @@ class BackendServer:
                 scoring,
                 template,
                 send=self._central_send,
-                on_unsatisfiable=on_unsatisfiable,  # type: ignore[arg-type]
                 clock=lambda: sim.now,
                 obs=self.obs,
                 table=self.replica.table,
@@ -524,31 +521,18 @@ class BackendServer:
             if record.seq not in withheld
         ]
 
-    def disconnect_worker(self, client: Any) -> bool:
-        """Outage-begin bookkeeping for a worker client: detach the
-        broadcast session and break the client's connection.
+    def bind_faults(
+        self, injector: Any, clients: dict[str, Any] | None = None
+    ) -> None:
+        """Wire the outage choreography of every worker endpoint in
+        *injector*'s plan (see :func:`bind_worker_faults`)."""
+        bind_worker_faults(
+            injector, clients, self.detach_client, self._reconnect_worker
+        )
 
-        A no-op when the connection is already broken — on a sharded
-        backend a crash window may have disconnected the client before
-        its own outage window opened, and detaching through a crashed
-        home shard would touch wiped session state.
-        """
-        if not client.connected:
-            return False
-        self.detach_client(client.worker_id)
-        client.disconnect()
-        return True
-
-    def reconnect_worker(self, client: Any) -> bool:
-        """Outage-end reattach for a worker client.
-
-        A no-op when the client is already connected (a crash-restart
-        rejoin can beat the outage end to it on a sharded backend).
-        """
-        if client.connected:
-            return False
+    def _reconnect_worker(self, client: Any) -> None:
+        """Outage-end reattach: resume the retained session."""
         client.reconnect(self)
-        return True
 
     def session(self, name: str) -> ClientSession | None:
         """The retained session for *name*, if any (observability)."""
@@ -835,3 +819,49 @@ class BackendServer:
                 )
             if self.on_complete is not None:
                 self.on_complete()
+
+
+def bind_worker_faults(
+    injector: Any,
+    clients: dict[str, Any] | None,
+    detach: Callable[[str], None],
+    reconnect: Callable[[Any], None],
+) -> None:
+    """Bind the outage choreography of every faulted endpoint of
+    *injector*'s plan: window start detaches the session (*detach*) and
+    breaks the client, window end reattaches it (*reconnect*), and
+    purged sends go back to the client's outbox.
+
+    Handlers look the client up in *clients* when the window fires, so
+    a registry that grows as workers arrive (``CollectionSession.clients``)
+    stays current; a window that opens before its client exists, or on
+    an endpoint that is not a client, is a no-op.  Both halves skip a
+    client whose connection is already in the target state: a crash
+    window on its home shard may have broken it first, and the restart
+    may rejoin it before its own outage ends.
+    """
+    registry: dict[str, Any] = {} if clients is None else clients
+
+    def on_disconnect(name: str) -> None:
+        client = registry.get(name)
+        if client is not None and client.connected:
+            detach(name)
+            client.disconnect()
+
+    def on_reconnect(name: str) -> None:
+        client = registry.get(name)
+        if client is not None and not client.connected:
+            reconnect(client)
+
+    def on_requeue(name: str, messages: list) -> None:
+        client = registry.get(name)
+        if client is not None:
+            client.requeue_unsent(messages)
+
+    for name in injector.plan.faulted_endpoints():
+        injector.bind(
+            name,
+            on_disconnect=partial(on_disconnect, name),
+            on_reconnect=partial(on_reconnect, name),
+            on_requeue=partial(on_requeue, name),
+        )

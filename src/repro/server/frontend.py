@@ -151,7 +151,6 @@ class FrontendServer:
         max_workers: int,
         base_reward: float = 0.0,
         on_worker_accept: Callable[[str, BackendServer], None] | None = None,
-        on_unsatisfiable: str = "drop",
     ) -> dict[str, Any]:
         """POST /specs/{id}/launch — start collecting.
 
@@ -168,14 +167,7 @@ class FrontendServer:
         schema = Schema.from_dict(spec["schema"])
         scoring = scoring_from_dict(spec["scoring"])
         template = Template.from_dict(spec["template"])
-        backend = BackendServer(
-            sim,
-            network,
-            schema,
-            scoring,
-            template,
-            on_unsatisfiable=on_unsatisfiable,
-        )
+        backend = BackendServer(sim, network, schema, scoring, template)
         self._active[spec_id] = backend
 
         def accept(worker_id: str) -> None:

@@ -109,6 +109,7 @@ from repro.server.backend import (
     ClientSession,
     ResyncResult,
     _CompletionTracker,
+    bind_worker_faults,
 )
 from repro.sim import Simulator
 
@@ -355,7 +356,6 @@ class ShardServer(BackendServer):
         shard_id: int,
         n_shards: int,
         on_complete: Callable[[], None] | None = None,
-        on_unsatisfiable: str = "drop",
         oplog_capacity: int = 512,
         max_batch: int = 64,
         obs: object | None = None,
@@ -372,7 +372,6 @@ class ShardServer(BackendServer):
             scoring,
             template,
             on_complete=on_complete if primary else None,
-            on_unsatisfiable=on_unsatisfiable,
             oplog_capacity=oplog_capacity,
             max_batch=max_batch,
             obs=obs,
@@ -421,10 +420,9 @@ class ShardServer(BackendServer):
                     f"{ns}.recoveries", lambda: durable.recoveries
                 )
         #: Crash-fault state: a crashed shard has lost every piece of
-        #: volatile memory and drops anything delivered to it until
+        #: volatile memory and refuses anything delivered to it until
         #: :meth:`recover` replays the durable log.
         self.crashed = False
-        self.dropped_while_crashed = 0
 
     def sent_watermark(self, peer: str) -> int:
         """How much of the commit log has been pushed toward *peer*."""
@@ -438,12 +436,7 @@ class ShardServer(BackendServer):
 
     def on_message(self, source: str, payload: Any) -> None:
         if self.crashed:
-            # The process is down.  The fault injector severs the
-            # shard's links and the router backlogs client operations,
-            # so this path is a last-resort guard, not the normal
-            # crash-window behavior.
-            self.dropped_while_crashed += 1
-            return
+            raise self._crashed_error(source)
         if isinstance(payload, ExchangeBatch):
             self._receive_exchange(payload)
             return
@@ -451,12 +444,18 @@ class ShardServer(BackendServer):
 
     def ingest(self, source: str, messages) -> None:
         if self.crashed:
-            # Same last-resort guard as on_message: the bulk path must
-            # not feed a dead process (ShardedBackend.ingest backlogs
-            # crashed shards' slices before it gets here).
-            self.dropped_while_crashed += len(list(messages))
-            return
+            raise self._crashed_error(source)
         super().ingest(source, messages)
+
+    def _crashed_error(self, source: Any) -> RuntimeError:
+        # The process is down.  The fault injector severs the shard's
+        # links and the router (ShardedBackend.ingest on the bulk path)
+        # backlogs client operations, so a delivery here would be lost
+        # silently: a wiring fault, not crash-window behavior.
+        return RuntimeError(
+            f"{self.endpoint!r} is crashed: refusing a delivery from "
+            f"{source!r}"
+        )
 
     def _apply_and_trace(self, message: Message, worker_id: Any) -> TraceRecord:
         """Trace one applied message at its *origin* commit coordinate,
@@ -675,7 +674,7 @@ class ShardServer(BackendServer):
         in-progress batches — everything held in memory — is gone, and
         only :attr:`durable` (the WAL and checkpoint, i.e. the disk)
         survives.  The object identity is kept so the network
-        registration stays valid; while crashed the shard drops any
+        registration stays valid; while crashed the shard refuses any
         delivery (see :meth:`on_message`) until :meth:`recover`.
         """
         if self.durable is None:
@@ -820,7 +819,6 @@ class ShardServer(BackendServer):
             self.scoring,
             current,
             send=self._central_send,
-            on_unsatisfiable=self._on_unsatisfiable,  # type: ignore[arg-type]
             clock=lambda: self.sim.now,
             obs=self.obs,
             table=self.replica.table,
@@ -990,7 +988,6 @@ class ShardedBackend:
         template: Template,
         shards: int = 2,
         on_complete: Callable[[], None] | None = None,
-        on_unsatisfiable: str = "drop",
         oplog_capacity: int = 512,
         max_batch: int = 64,
         obs: object | None = None,
@@ -1006,7 +1003,6 @@ class ShardedBackend:
         self.durability = durability
         # Follower construction reuses the fleet's shard parameters.
         self._shard_options = {
-            "on_unsatisfiable": on_unsatisfiable,
             "oplog_capacity": oplog_capacity,
             "max_batch": max_batch,
             "obs": obs,
@@ -1023,7 +1019,6 @@ class ShardedBackend:
                 shard_id=k,
                 n_shards=shards,
                 on_complete=on_complete,
-                on_unsatisfiable=on_unsatisfiable,
                 oplog_capacity=oplog_capacity,
                 max_batch=max_batch,
                 obs=obs,
@@ -1091,28 +1086,14 @@ class ShardedBackend:
     def session(self, name: str) -> ClientSession | None:
         return self.home_shard(name).session(name)
 
-    def disconnect_worker(self, client: Any) -> bool:
-        """Outage-begin bookkeeping for a worker client (the facade
-        mirror of :meth:`BackendServer.disconnect_worker`).
-
-        A no-op when a crash window already disconnected the client —
-        its home shard's session state died with the process, so there
-        is nothing to detach.
-        """
-        if not client.connected:
-            return False
-        self.detach_client(client.worker_id)
-        client.disconnect()
-        return True
-
-    def reconnect_worker(self, client: Any) -> bool:
+    def _reconnect_worker(self, client: Any) -> None:
         """Outage-end reattach, aware of crash windows on the home shard.
 
         Composing an outage window with a crash window on the client's
-        home shard yields three cases on top of the ordinary reattach:
+        home shard yields two cases on top of the ordinary reattach
+        (a client the restart already rejoined never gets here, see
+        :func:`~repro.server.backend.bind_worker_faults`):
 
-        - already connected: the restart choreography rejoined the
-          client before its outage formally ended — nothing to do.
         - home still crashed: stay disconnected.  The shard has neither
           sessions nor table to attach to; the restart choreography
           rejoins every disconnected homed client whose outage is over.
@@ -1121,17 +1102,14 @@ class ShardedBackend:
           path is gone — rejoin fresh from a bootstrap snapshot, the
           same amnesia-safe path a crash-disconnected client takes.
         """
-        if client.connected:
-            return False
         name = client.worker_id
         home = self.home_shard(name)
         if home.crashed:
-            return False
+            return
         if home.session(name) is None:
             client.rejoin(self)
         else:
             client.reconnect(self)
-        return True
 
     @property
     def clients(self) -> tuple[str, ...]:
@@ -1336,8 +1314,11 @@ class ShardedBackend:
     def bind_faults(
         self, injector, clients: dict[str, Any] | None = None
     ) -> None:
-        """Wire shard-exchange recovery — and, when durability is on,
-        crash/restart choreography — into a fault injector.
+        """Wire every fault of *injector*'s plan: the worker outage
+        choreography (:func:`~repro.server.backend.bind_worker_faults`),
+        then shard-exchange recovery and, when durability is on,
+        crash/restart choreography.  Shard endpoints are bound last, so
+        their handlers win over the worker ones.
 
         Shard endpoints only carry exchange traffic (clients talk to
         the in-process router and are broadcast to as ``SERVER_NAME``),
@@ -1350,16 +1331,22 @@ class ShardedBackend:
 
         Args:
             injector: the :class:`~repro.net.faults.FaultInjector`.
-            clients: worker-name → ``WorkerClient`` registry.  Needed
-                for crash windows: the crash cleanly disconnects the
-                crashed shard's homed clients (requeueing their
-                in-flight operations) and the restart rejoins them.
-                Kept by reference, so a live registry that grows as
-                workers trickle in (``CollectionSession.clients``)
-                stays current.
+            clients: worker-name → ``WorkerClient`` registry, read
+                by the outage handlers and by crash windows: the crash
+                cleanly disconnects the crashed shard's homed clients
+                (requeueing their in-flight operations) and the restart
+                rejoins them.  Kept by reference, so a live registry
+                that grows as workers trickle in
+                (``CollectionSession.clients``) stays current.
         """
         self._fault_clients = clients if clients is not None else {}
         self._fault_injector = injector
+        bind_worker_faults(
+            injector,
+            self._fault_clients,
+            self.detach_client,
+            self._reconnect_worker,
+        )
         injector.on_link_heal(self.resync_links)
         for shard in self.shards:
             injector.bind(
@@ -1439,7 +1426,7 @@ class ShardedBackend:
         5. Homed clients rejoin (fresh attach + bootstrap snapshot) —
            every disconnected homed client except those inside an open
            outage window of their own, which rejoin at outage end
-           instead (:meth:`reconnect_worker`).
+           instead (:meth:`_reconnect_worker`).
         6. The ingress backlog — operations this shard owns that
            arrived while it was down — is redelivered.
 
@@ -1485,7 +1472,7 @@ class ShardedBackend:
                 # The client's own outage window is still open: its
                 # link drops everything, so a rejoin now would lose
                 # the bootstrap snapshot and the outbox resend.  The
-                # outage-end path picks it up (reconnect_worker).
+                # outage-end path picks it up (_reconnect_worker).
                 continue
             client.rejoin(self)
         for source, payload in self.router.take_backlog(shard):

@@ -106,8 +106,7 @@ class CollectionSession:
         obs: ``True`` to create an enabled :class:`repro.obs.Observability`,
             an instance to share one, or ``None``/``False`` for the
             near-zero-cost no-op.
-        oplog_capacity / on_unsatisfiable / on_complete: forwarded to
-            the back-end server.
+        oplog_capacity / on_complete: forwarded to the back-end server.
         shards: ``None`` (default) builds the classic single
             :class:`~repro.server.backend.BackendServer`; an integer
             ``N >= 1`` builds a
@@ -135,7 +134,6 @@ class CollectionSession:
         latency: LatencyModel | None = None,
         obs: Observability | NullObservability | bool | None = None,
         oplog_capacity: int = 512,
-        on_unsatisfiable: str = "drop",
         on_complete: Callable[[], None] | None = None,
         snapshot_interval: float = 60.0,
         db_name: str = "crowdfill",
@@ -192,7 +190,6 @@ class CollectionSession:
                     scoring,
                     template,
                     on_complete=on_complete,
-                    on_unsatisfiable=on_unsatisfiable,
                     oplog_capacity=oplog_capacity,
                     durability=durability,
                 )
@@ -207,7 +204,6 @@ class CollectionSession:
                     template,
                     shards=shards,
                     on_complete=on_complete,
-                    on_unsatisfiable=on_unsatisfiable,
                     oplog_capacity=oplog_capacity,
                     durability=durability,
                 )

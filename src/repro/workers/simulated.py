@@ -38,8 +38,6 @@ class WorkerActivityLog:
     downvotes: int = 0
     conflicts: int = 0
     idles: int = 0
-    disconnects: int = 0
-    reconnects: int = 0
     offline_actions: int = 0
     action_times: list[tuple[float, str]] = field(default_factory=list)
 
@@ -116,16 +114,6 @@ class SimulatedWorker:
     def stop(self) -> None:
         """Stop after the in-flight action (if any)."""
         self._stopped = True
-
-    def note_disconnect(self) -> None:
-        """The client's connection broke.  The think-act loop keeps
-        running — the worker keeps typing into the (now stale) local
-        copy and the client buffers the operations for replay."""
-        self.log.disconnects += 1
-
-    def note_reconnect(self) -> None:
-        """The client resynced; buffered operations are on the wire."""
-        self.log.reconnects += 1
 
     # -- the think-act loop --------------------------------------------------------
 

@@ -133,16 +133,6 @@ def _build_crash_rig(
         clients[name] = client
     injector = FaultInjector(sim, network, plan)
     backend.bind_faults(injector, clients=clients)
-    for name in plan.faulted_endpoints():
-        client = clients.get(name)
-        if client is None:
-            continue  # shard endpoints resync via bind_faults
-        injector.bind(
-            name,
-            on_disconnect=lambda c=client: backend.disconnect_worker(c),
-            on_reconnect=lambda c=client: backend.reconnect_worker(c),
-            on_requeue=client.requeue_unsent,
-        )
     injector.install()
     backend.start()
     return sim, network, backend, clients, injector, names
@@ -221,10 +211,6 @@ def _assert_crash_convergence(backend, clients, network):
         assert incremental == scratch
 
     network.check_accounting()
-    # A crashed shard's last-resort guard dropped nothing: the injector
-    # severs its links and the router backlogs its operations first.
-    for shard in backend.shards:
-        assert shard.dropped_while_crashed == 0
     # Each attached client's session derives its sent count from the
     # trace; it must equal what the client itself counted in.
     for name, client in clients.items():
@@ -597,3 +583,29 @@ def test_crash_recovery_rebuilds_from_logged_bytes():
         second, _ = shard.durable.log.replay()
         assert first and first == second
         assert all(a.message is not b.message for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("path", ["on_message", "ingest"])
+def test_a_crashed_shard_refuses_deliveries(path):
+    """A delivery that reaches a crashed shard is a wiring fault (the
+    injector severs its links and the router backlogs its operations
+    first), so both entry points raise, naming the endpoint and the
+    source, instead of dropping the operation silently."""
+    sim, network, backend, clients, injector, names = _build_crash_rig(
+        2, 2, 5, FaultPlan()
+    )
+    sim.run()
+    client = clients["c0"]
+    message = client.replica.fill(
+        client.replica.table.row_ids()[0], "k", "x"
+    )
+    shard = backend.shards[1]
+    shard.crash()
+    with pytest.raises(
+        RuntimeError, match="'shard-1' is crashed: refusing a delivery from 'c0'"
+    ):
+        if path == "on_message":
+            shard.on_message("c0", message)
+        else:
+            shard.ingest("c0", [message])
+    assert shard.trace == [] and not shard._pending

@@ -146,19 +146,7 @@ def _run_faulty_schedule(
             ),
         )
     injector = FaultInjector(sim, network, plan)
-    if shards is not None:
-        backend.bind_faults(injector)
-    for name in plan.faulted_endpoints():
-        client = clients[name]
-        injector.bind(
-            name,
-            on_disconnect=lambda c=client: (
-                backend.detach_client(c.worker_id),
-                c.disconnect(),
-            ),
-            on_reconnect=lambda c=client: c.reconnect(backend),
-            on_requeue=client.requeue_unsent,
-        )
+    backend.bind_faults(injector, clients=clients)
     injector.install()
     backend.start()
 

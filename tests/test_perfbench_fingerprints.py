@@ -1,0 +1,61 @@
+"""Same-seed benchmark jobs end in the same state: pinned fingerprints.
+
+Each job of ``perfbench/workloads.py`` (imported as it is, not copied)
+ends with a fingerprint of its final state, and ``perfbench/run.py``
+prints them (``state fingerprint of seed N``).  This pins the run-seed
+1 panel of every workload, so a behaviour-preserving change is checked
+here instead of by hand.  An intentional change of a workload's state
+updates :data:`FINGERPRINTS` and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RUN_SEED = 1
+FINGERPRINTS = {
+    "crowd-session": {
+        5: "6d98fb6163feeb69",
+        6: "a354f2826fc35f93",
+        7: "d48eddb943c9d07f",
+        8: "0ca8181684e3713a",
+        9: "fa5c20d7203678aa",
+    },
+    "live-ingest": {1: "dac58d044b050d08"},
+    "sharded-durable": {1: "89c88cd956fc0548"},
+}
+
+pytestmark = [
+    pytest.mark.slow,
+    pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="fingerprints are pinned on CPython 3.11: 3.12's float sum "
+        "is compensated and moves the last bits of payouts",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # The benchmark's modules import each other as top-level modules.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_workload_panel_matches_pinned_fingerprints(name, workloads):
+    assert workloads.panel(name, RUN_SEED) == sorted(FINGERPRINTS[name])
+    found = {}
+    for seed in workloads.panel(name, RUN_SEED):
+        job = workloads.WORKLOADS[name](seed, False)
+        assert job.errors == []
+        found[seed] = job.fingerprint
+    assert found == FINGERPRINTS[name]

@@ -8,7 +8,13 @@ from repro.client import WorkerClient
 from repro.constraints import Template
 from repro.core import ThresholdScoring
 from repro.core.schema import soccer_player_schema
-from repro.net import ConstantLatency, Network
+from repro.net import (
+    ConstantLatency,
+    DisconnectWindow,
+    FaultInjector,
+    FaultPlan,
+    Network,
+)
 from repro.server import BackendServer
 from repro.sim import RngStreams, Simulator
 
@@ -409,3 +415,44 @@ def test_outage_interrupting_a_replay_applies_each_op_once():
     assert clients[1].snapshot() == backend.replica.snapshot()
     assert backend.session("w1").resyncs_incremental == 2
     assert backend.session("w1").sent_count == clients[1].messages_received
+
+
+def test_bind_faults_late_binds_a_client_that_arrives_after_install():
+    """The outage handlers look the client up when a window fires: a
+    window that opens before the client exists is a no-op, and one that
+    opens after it attached detaches it, hands its purged send back to
+    its outbox, and resyncs it at the window end."""
+    sim, network, backend, _ = make_system(num_clients=0)
+    registry = {}
+    plan = FaultPlan(disconnects=(
+        DisconnectWindow("late", 1.0, 2.0),
+        DisconnectWindow("late", 5.0, 6.0),
+    ))
+    injector = FaultInjector(sim, network, plan)
+    backend.bind_faults(injector, clients=registry)
+    injector.install()
+    sim.run(until=3.0)
+    assert [event.kind for event in injector.events] == [
+        "disconnect", "reconnect",
+    ]
+    assert backend.session("late") is None
+
+    late = WorkerClient("late", soccer_player_schema(), SCORING, network,
+                        streams=RngStreams(7))
+    late.bootstrap(backend.attach_client("late"))
+    registry["late"] = late
+    row_id = late.replica.table.row_ids()[0]
+    # In flight (50 ms) when the second window opens at 5.0.
+    sim.schedule_at(4.99, lambda: late.fill(row_id, "name", "Messi"))
+    sim.run(until=5.5)
+    assert not late.connected and late.disconnects == 1
+    assert "late" not in backend.clients
+    assert late.pending_ops == 1
+    assert backend.replica.snapshot() != late.snapshot()
+
+    sim.run()
+    assert late.connected and late.resync_kinds == ["incremental"]
+    assert late.pending_ops == 0
+    assert late.snapshot() == backend.replica.snapshot()
+    names = {dict(r.value).get("name") for r in backend.replica.table.rows()}
+    assert "Messi" in names

@@ -163,20 +163,7 @@ def _run_sharded_schedule(
             shard_partition_prob=0.6,
         )
     injector = FaultInjector(sim, network, plan)
-    backend.bind_faults(injector)
-    for name in plan.faulted_endpoints():
-        client = clients.get(name)
-        if client is None:
-            continue  # shard endpoints are resynced via bind_faults
-        injector.bind(
-            name,
-            on_disconnect=lambda c=client: (
-                backend.detach_client(c.worker_id),
-                c.disconnect(),
-            ),
-            on_reconnect=lambda c=client: c.reconnect(backend),
-            on_requeue=client.requeue_unsent,
-        )
+    backend.bind_faults(injector, clients=clients)
     injector.install()
     backend.start()
 
