@@ -9,11 +9,11 @@ thousands of messages those dominate the apply path.
 :class:`VoteColumns` stores both histories as flat ``array('q')``
 columns indexed by the table's :class:`~repro.core.intern.ValueInterner`
 ids, so ``apply_upvote`` / ``apply_downvote`` / ``apply_undo_*`` become
-integer indexing.  The downvote column additionally keeps an inverted
-cell-postings index (cell id → downvoted value ids), making the
-replace-message subset-sum proportional to the DH entries sharing a cell
-with the queried value — now via small frozensets of cell ids instead of
-value-vector item sets.
+integer indexing.  The downvote column also posts each downvoted value
+once, under its anchor: the cell that fewest downvoted values carried
+when it was first written.  Since ``w ⊆ q`` puts ``anchor(w)`` in ``q``,
+the replace-message subset-sum reads only the values anchored at the
+queried value's cells, each once.
 
 The dict-of-dicts API the rest of the system (bootstrap capture/restore,
 invariant oracles, tests) relies on survives as the mapping views
@@ -43,6 +43,8 @@ class VoteColumns:
         "_down",
         "_up_seen",
         "_down_seen",
+        "_down_posted",
+        "_down_cell_counts",
         "_down_postings",
         "_down_empty_vid",
     )
@@ -56,8 +58,11 @@ class VoteColumns:
         # dicts' insertion order, including entries decremented back to 0.
         self._up_seen: dict[int, None] = {}
         self._down_seen: dict[int, None] = {}
-        # Inverted index: cell id -> value ids ever downvoted that carry
-        # the cell.  Drives the subset-sum without scanning all of DH.
+        # Ids ever posted: a view ``del`` leaves its id in the postings.
+        self._down_posted: set[int] = set()
+        # Cell id -> downvoted values carrying it; anchor cell id -> the
+        # values posted there.  Drives the subset-sum.
+        self._down_cell_counts: dict[int, int] = {}
         self._down_postings: dict[int, list[int]] = {}
         # DH[empty] subsumes into every value; tracked explicitly since
         # the empty value has no cells and so no postings.
@@ -90,13 +95,22 @@ class VoteColumns:
         down[vid] += delta
         if vid not in self._down_seen:
             self._down_seen[vid] = None
-            cells = self.interner.cell_ids(vid)
-            if not cells:
-                self._down_empty_vid = vid
-            postings = self._down_postings
-            for cid in cells:
-                postings.setdefault(cid, []).append(vid)
+            if vid not in self._down_posted:
+                self._post_down(vid)
         return down[vid]
+
+    def _post_down(self, vid: int) -> None:
+        """Post *vid* under its rarest cell (ties: first in cell order)."""
+        self._down_posted.add(vid)
+        cells = self.interner.cell_ids(vid)
+        if not cells:
+            self._down_empty_vid = vid
+            return
+        counts = self._down_cell_counts
+        anchor = min(cells, key=lambda cid: counts.get(cid, 0))
+        for cid in cells:
+            counts[cid] = counts.get(cid, 0) + 1
+        self._down_postings.setdefault(anchor, []).append(vid)
 
     def up_set(self, vid: int, count: int) -> None:
         """Set UH[vid] outright (bootstrap restore)."""
@@ -109,28 +123,15 @@ class VoteColumns:
     # -- the subset sum ----------------------------------------------------
 
     def subset_sum(self, vid: int) -> int:
-        """Σ_{w ⊆ value(vid)} DH[w], via the cell-postings index."""
-        down_seen = self._down_seen
-        if not down_seen:
-            return 0
-        total = 0
+        """Σ_{w ⊆ value(vid)} DH[w], over the values anchored at its cells."""
         down = self._down
         empty_vid = self._down_empty_vid
-        if empty_vid is not None:
-            total += down[empty_vid]
-        interner = self.interner
-        qset = interner.cell_set(vid)
+        total = 0 if empty_vid is None else down[empty_vid]
+        cell_set = self.interner.cell_set
+        qset = cell_set(vid)
         postings = self._down_postings
-        cell_set = interner.cell_set
-        checked: set[int] = set()
-        for cid in interner.cell_ids(vid):
-            entries = postings.get(cid)
-            if not entries:
-                continue
-            for entry_vid in entries:
-                if entry_vid in checked:
-                    continue
-                checked.add(entry_vid)
+        for cid in self.interner.cell_ids(vid):
+            for entry_vid in postings.get(cid, ()):
                 if cell_set(entry_vid) <= qset:
                     total += down[entry_vid]
         return total

@@ -662,9 +662,8 @@ class BackendServer:
         """Fan one applied message out to every client but *exclude*,
         whose session (attached or detached) notes the withheld echo.
 
-        The wire payload is the record's message, built exactly once —
-        the network's broadcast primitive shares one sealed encoding
-        across all recipients (see :meth:`repro.net.Network.broadcast`).
+        Nothing is encoded: every recipient gets the record's one message
+        object, immutable as crowdlint's ESC001 proves, so safe to share.
         """
         if exclude is not None:
             session = self._sessions.get(exclude)

@@ -219,9 +219,28 @@ vote_ops = st.lists(
 )
 
 
+# Values over a two-valued "p" column beside the wider a/b/c columns:
+# downvoted values pile onto the p cells, so anchor counts collide and tie.
+anchored_vote_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["up", "down", "undo_up", "undo_down"]),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "a": st.integers(0, 4),
+                "b": st.integers(0, 2),
+                "c": st.integers(0, 2),
+                "p": st.sampled_from(["FW", "DF"]),
+            },
+        ).map(RowValue),
+    ),
+    max_size=80,
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(vote_ops)
-def test_vote_columns_match_dict_oracle(sequence):
+@given(anchored_vote_ops, st.randoms(use_true_random=False))
+def test_vote_columns_match_dict_oracle(sequence, rng):
     interner = ValueInterner()
     votes = VoteColumns(interner)
     oracle_up: dict[RowValue, int] = {}
@@ -248,8 +267,16 @@ def test_vote_columns_match_dict_oracle(sequence):
         assert votes.up_count(interner.intern(value)) == count
     for value, count in oracle_down.items():
         assert votes.down_count(interner.intern(value)) == count
-    # Lemma 3's d(r): the postings-driven subset-sum equals brute-force
-    # subsumption over the whole downvote history.
+    # Bootstrap and checkpoint restore rebuild DH through down_set, in
+    # the snapshot's order, so a restored copy may anchor differently.
+    restored_interner = ValueInterner()
+    restored = VoteColumns(restored_interner)
+    entries = list(oracle_down.items())
+    rng.shuffle(entries)
+    for value, count in entries:
+        restored.down_set(restored_interner.intern(value), count)
+    # Lemma 3's d(r): the anchored subset-sum equals brute-force
+    # subsumption over the whole downvote history, on both copies.
     queries = {value for _, value in sequence} | {RowValue()}
     for query in queries:
         brute = sum(
@@ -258,6 +285,62 @@ def test_vote_columns_match_dict_oracle(sequence):
             if query.subsumes(value)
         )
         assert votes.subset_sum(interner.intern(query)) == brute
+        assert restored.subset_sum(restored_interner.intern(query)) == brute
+
+
+def _growth_dh(size: int) -> tuple[ValueInterner, VoteColumns]:
+    """A DH of *size* named values (unique name, one of 4 positions, one
+    of 7 nationalities), with a low-cardinality value every tenth."""
+    positions = ["GK", "DF", "MF", "FW"]
+    low = [
+        RowValue(cells)
+        for p in positions
+        for n in range(7)
+        for cells in ({"position": p}, {"nat": n}, {"position": p, "nat": n})
+    ]
+    interner = ValueInterner()
+    votes = VoteColumns(interner)
+    for i in range(size):
+        position, nat = positions[i % 4], i % 7
+        cells = {"name": f"n{i}", "position": position, "nat": nat}
+        if i % 3 == 0:
+            del cells["nat"]
+        elif i % 3 == 1:
+            del cells["position"]
+        votes.down_add(interner.intern(RowValue(cells)))
+        if i % 10 == 0:
+            votes.down_add(interner.intern(low[(i // 10) % len(low)]))
+    return interner, votes
+
+
+def test_subset_sum_examines_constant_entries_as_dh_doubles(monkeypatch):
+    """Growth witness: the entries a subset sum examines (one
+    ``cell_set`` call each, past the query's own) stay flat as DH
+    doubles (about 7 per query at both sizes), where walking every
+    cell's full posting list grows with DH (262 -> 512)."""
+    calls = [0]
+    original = ValueInterner.cell_set
+
+    def counting(self, vid):
+        calls[0] += 1
+        return original(self, vid)
+
+    examined = []
+    for size in (1000, 2000):
+        interner, votes = _growth_dh(size)
+        queries = [
+            RowValue({"name": f"n{i}", "position": p, "nat": i % 7})
+            for i in range(0, size + 100, 10)
+            for p in ("DF", "FW")
+        ]
+        vids = [interner.intern(query) for query in queries]
+        calls[0] = 0
+        monkeypatch.setattr(ValueInterner, "cell_set", counting)
+        for vid in vids:
+            votes.subset_sum(vid)
+        monkeypatch.setattr(ValueInterner, "cell_set", original)
+        examined.append((calls[0] - len(vids)) / len(vids))
+    assert all(per_query < 10 for per_query in examined), examined
 
 
 @settings(max_examples=60, deadline=None)

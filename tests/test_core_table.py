@@ -110,6 +110,19 @@ def test_replace_inherits_downvotes_from_subsets(table):
     assert table.row("r1").downvotes == 2
 
 
+def test_downvote_history_delete_then_rewrite_counts_once(table):
+    """A deleted DH entry that is written again is still counted once by
+    the subset sum: deleting it from the mapping does not unpost it."""
+    history = table.downvote_history
+    history[RowValue({"nationality": "y"})] = 1
+    history[RowValue({"name": "x"})] = 1
+    del history[RowValue({"name": "x"})]
+    history[RowValue({"name": "z", "nationality": "y"})] = 1
+    history[RowValue({"name": "x"})] = 2
+    query = RowValue({"name": "x", "nationality": "y"})
+    assert table.downvotes_subsumed_by(query) == 3
+
+
 def test_vote_invariants_hold_after_mixed_messages(table):
     value = full("Messi", "Argentina", "FW", 83, 37)
     table.apply_downvote(RowValue({"name": "Messi"}))
