@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.net.network import DroppedMessage, Network
+from repro.net.network import Network
 from repro.sim import Simulator
 
 
@@ -649,11 +649,11 @@ class FaultInjector:
         self._link_heal_callbacks.append(callback)
 
     def install(self) -> None:
-        """Register as the network's fault filter and schedule the plan."""
+        """Schedule the plan; filter sends while a filter can change one."""
         if self._installed:
             raise RuntimeError("fault injector already installed")
         self._installed = True
-        self.network.set_fault_filter(self)
+        self._refilter()
         for endpoint in self.plan.faulted_endpoints():
             for start, end in self.plan.outage_windows(endpoint):
                 self.sim.schedule_at(
@@ -680,6 +680,11 @@ class FaultInjector:
             )
 
     # -- FaultFilter protocol ----------------------------------------------
+
+    def _refilter(self) -> None:
+        """Filter sends only while a window is open or the plan has spikes."""
+        live = self.plan.spikes or self._down or self._crashed or self._cut
+        self.network.set_fault_filter(self if live else None)
 
     def should_drop(self, source: str, destination: str) -> bool:
         return (
@@ -735,6 +740,7 @@ class FaultInjector:
         if endpoint in self._down:
             return
         self._down.add(endpoint)
+        self._refilter()
         dropped = self.network.drop_in_flight(endpoint)
         self.events.append(
             FaultEvent(self.sim.now, "disconnect", endpoint, len(dropped))
@@ -743,11 +749,7 @@ class FaultInjector:
         if handlers is None:
             return
         if handlers.on_requeue is not None:
-            outbound = [
-                d.payload
-                for d in dropped
-                if isinstance(d, DroppedMessage) and d.source == endpoint
-            ]
+            outbound = [d.payload for d in dropped if d.source == endpoint]
             if outbound:
                 handlers.on_requeue(outbound)
         if handlers.on_disconnect is not None:
@@ -757,6 +759,7 @@ class FaultInjector:
         if endpoint not in self._down:
             return
         self._down.discard(endpoint)
+        self._refilter()
         self.events.append(FaultEvent(self.sim.now, "reconnect", endpoint))
         handlers = self._handlers.get(endpoint)
         if handlers is not None and handlers.on_reconnect is not None:
@@ -772,6 +775,7 @@ class FaultInjector:
             if count == 0:
                 fresh.append(link)
             self._cut[link] = count + 1
+        self._refilter()
         purged = (
             self.network.drop_in_flight_links(fresh) if fresh else []
         )
@@ -793,6 +797,7 @@ class FaultInjector:
                 healed.append(link)
             else:
                 self._cut[link] = count - 1
+        self._refilter()
         self.events.append(
             FaultEvent(self.sim.now, "shard-heal", window.label())
         )
@@ -804,6 +809,7 @@ class FaultInjector:
         if endpoint in self._crashed:
             return
         self._crashed.add(endpoint)
+        self._refilter()
         # The wire to and from the endpoint dies with the process;
         # nothing is requeued here — a crash loses exactly what a real
         # crash loses, and recovery rebuilds it from the durable log
@@ -820,6 +826,7 @@ class FaultInjector:
         if endpoint not in self._crashed:
             return
         self._crashed.discard(endpoint)
+        self._refilter()
         self.events.append(FaultEvent(self.sim.now, "restart", endpoint))
         handlers = self._handlers.get(endpoint)
         if handlers is not None and handlers.on_restart is not None:

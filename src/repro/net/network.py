@@ -11,8 +11,10 @@ Socket.IO transport of the paper's implementation.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.net.latency import ConstantLatency, LatencyModel
@@ -39,15 +41,18 @@ class NetworkStats:
     Every sent message is eventually accounted for exactly once, as
     either delivered or dropped, so :attr:`in_flight` re-reaches zero at
     quiescence even under faults, endpoint unregistration, or in-flight
-    purges.
+    purges.  Per-link counts live on the network's channels.
     """
 
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_dropped: int = 0
-    per_link_sent: Counter[tuple[str, str]] = field(default_factory=Counter)
-    per_link_delivered: Counter[tuple[str, str]] = field(default_factory=Counter)
-    per_link_dropped: Counter[tuple[str, str]] = field(default_factory=Counter)
+    channels: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def per_link_sent(self) -> MappingProxyType[tuple[str, str], int]:
+        """Messages sent per directed link, read from the channels."""
+        return MappingProxyType({k: c.sent for k, c in self.channels.items()})
 
     @property
     def in_flight(self) -> int:
@@ -59,7 +64,7 @@ class FaultFilter(Protocol):
     """Decides, at send time, the fate of a message on a link.
 
     Implemented by :class:`repro.net.faults.FaultInjector`; the network
-    consults it on every ``send``.
+    consults it on every ``send`` while it is installed.
     """
 
     def should_drop(self, source: str, destination: str) -> bool:
@@ -81,23 +86,27 @@ class DroppedMessage:
 
 
 class _Channel:
-    """Unidirectional FIFO link with monotone delivery times."""
+    """Unidirectional FIFO link: monotone delivery times, own message counts."""
+
+    __slots__ = ("source", "destination", "latency", "constant", "rng",
+                 "last_delivery_time", "pending", "sent", "delivered", "dropped")
 
     def __init__(
-        self,
-        source: str,
-        destination: str,
-        latency: LatencyModel,
-        rng: random.Random,
+        self, source: str, destination: str, latency: LatencyModel, rng: random.Random
     ) -> None:
-        self.source = source
-        self.destination = destination
-        self.latency = latency
+        self.source, self.destination = source, destination
+        self.set_latency(latency)
         self.rng = rng
         self.last_delivery_time = 0.0
         # FIFO of (event or group Member, payload) for deliveries not yet
         # fired; lets a fault purge the wire when a connection breaks.
         self.pending: deque[tuple[Event | Member, Any]] = deque()
+        self.sent = self.delivered = self.dropped = 0
+
+    def set_latency(self, latency: LatencyModel) -> None:
+        """Use *latency*; a constant one's delay is cached as ``constant``."""
+        self.latency = latency
+        self.constant = latency.seconds if type(latency) is ConstantLatency else None
 
 
 class Network:
@@ -151,20 +160,15 @@ class Network:
         self.obs = resolve(obs)
         self.stats = NetworkStats()
         self._endpoints: dict[str, Endpoint] = {}
-        self._channels: dict[tuple[str, str], _Channel] = {}
+        self._channels = self.stats.channels
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
         self._fault_filter: FaultFilter | None = None
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.read_through(
-                "net.messages_sent", lambda: self.stats.messages_sent
-            )
-            metrics.read_through(
-                "net.messages_delivered", lambda: self.stats.messages_delivered
-            )
-            metrics.read_through(
-                "net.messages_dropped", lambda: self.stats.messages_dropped
-            )
+            for count in ("sent", "delivered", "dropped"):
+                self.obs.metrics.read_through(
+                    f"net.messages_{count}",
+                    lambda attr=f"messages_{count}": getattr(self.stats, attr),
+                )
 
     def set_fault_filter(self, fault_filter: FaultFilter | None) -> None:
         """Install (or clear) the fault filter consulted on every send."""
@@ -195,7 +199,7 @@ class Network:
         key = (source, destination)
         self._link_latency[key] = latency
         if key in self._channels:
-            self._channels[key].latency = latency
+            self._channels[key].set_latency(latency)
 
     def send(self, source: str, destination: str, payload: Any) -> None:
         """Queue *payload* for delivery; fires ``on_message`` later.
@@ -232,54 +236,51 @@ class Network:
         for destination in destinations:
             if destination not in self._endpoints:
                 raise KeyError(f"unknown destination endpoint: {destination!r}")
-        stats = self.stats
+        self.stats.messages_sent += len(destinations)
         obs = self.obs
-        fault_filter = self._fault_filter
+        faults = self._fault_filter
+        links = self._channels
         now = self.sim.now
         channels: list[_Channel] = []
         times: list[float] = []
+        delays: list[float] = []
         for destination in destinations:
-            stats.messages_sent += 1
             key = (source, destination)
-            stats.per_link_sent[key] += 1
-            channel = self._channel(source, destination)
-            factor = 1.0
-            if fault_filter is not None:
-                if fault_filter.should_drop(source, destination):
-                    stats.messages_dropped += 1
-                    stats.per_link_dropped[key] += 1
-                    if obs.enabled:
-                        obs.event(
-                            "net.drop",
-                            source=source,
-                            destination=destination,
-                            reason="fault",
-                        )
-                    continue
-                factor = fault_filter.latency_factor(source, destination)
-            delay = channel.latency.sample(channel.rng) * factor
-            if obs.enabled:
-                obs.observe("net.latency_seconds", delay)
-            deliver_at = max(now + delay, channel.last_delivery_time)
+            channel = links.get(key)
+            if channel is None:
+                latency = self._link_latency.get(key, self.default_latency)
+                rng = random.Random(self.rng.getrandbits(64))
+                channel = links[key] = _Channel(*key, latency, rng)
+            channel.sent += 1
+            if faults is not None and faults.should_drop(source, destination):
+                self._drop(channel, "fault")
+                continue
+            delay = channel.constant
+            if delay is None:
+                delay = channel.latency.sample(channel.rng)
+            if faults is not None:
+                delay *= faults.latency_factor(source, destination)
+            delays.append(delay)
+            deliver_at = now + delay
+            if deliver_at < channel.last_delivery_time:
+                deliver_at = channel.last_delivery_time
             channel.last_delivery_time = deliver_at
             channels.append(channel)
             times.append(deliver_at)
-        handles: list[Event] | list[Member]
+        if obs.enabled:
+            for delay, run in groupby(delays):
+                obs.observe("net.latency_seconds", delay, len(list(run)))
+        deliver = self._deliver
         if len(times) > 1 and times.count(times[0]) == len(times):
-            handles = self.sim.schedule_group_at(
-                times[0], len(times), lambda i: self._deliver(
-                    channels[i], source, channels[i].destination, payload
-                ),
+            members = self.sim.schedule_group_at(
+                times[0], len(times), lambda i: deliver(channels[i], payload)
             )
+            for channel, member in zip(channels, members):
+                channel.pending.append((member, payload))
         else:
-            handles = [
-                self.sim.schedule_at(at, lambda channel=channel: self._deliver(
-                    channel, source, channel.destination, payload
-                ))
-                for channel, at in zip(channels, times)
-            ]
-        for channel, handle in zip(channels, handles):
-            channel.pending.append((handle, payload))
+            for channel, at in zip(channels, times):
+                event = self.sim.schedule_at(at, lambda c=channel: deliver(c, payload))
+                channel.pending.append((event, payload))
 
     def drop_in_flight(self, endpoint: str) -> list[DroppedMessage]:
         """Purge every undelivered message to or from *endpoint*.
@@ -322,7 +323,7 @@ class Network:
                 handle.cancel()
                 dropped = DroppedMessage(channel.source, channel.destination, payload)
                 purged.append((handle.time, handle.seq, dropped))
-            self.stats.per_link_dropped[key] += len(channel.pending)
+            channel.dropped += len(channel.pending)
             channel.pending.clear()
         self.stats.messages_dropped += len(purged)
         if purged and self.obs.enabled:
@@ -346,8 +347,10 @@ class Network:
         The per-link check is what makes the invariant meaningful for
         shard-to-shard exchange links — a global tally would let a
         message lost on one link be silently offset by a double-count
-        on another.  The property suites call it at the end of every
-        run instead of re-deriving the arithmetic per test.
+        on another.  The channels' counts are kept apart from the
+        global ones, so their sums must also equal :attr:`stats`.  The
+        property suites call it at the end of every run instead of
+        re-deriving the arithmetic per test.
 
         Raises:
             AssertionError: some message was double-counted or lost
@@ -363,45 +366,41 @@ class Network:
                 f"=> in_flight={stats.in_flight}, but channels carry "
                 f"{pending} pending"
             )
-        for key, sent in stats.per_link_sent.items():
-            channel = self._channels.get(key)
-            on_wire = len(channel.pending) if channel is not None else 0
-            delivered = stats.per_link_delivered[key]
-            dropped = stats.per_link_dropped[key]
-            if sent != delivered + dropped + on_wire:
+        for key, c in self._channels.items():
+            if c.sent != c.delivered + c.dropped + len(c.pending):
                 raise AssertionError(
                     f"link drop-accounting invariant violated on {key!r}: "
-                    f"sent={sent} delivered={delivered} dropped={dropped} "
-                    f"pending={on_wire}"
+                    f"sent={c.sent} delivered={c.delivered} "
+                    f"dropped={c.dropped} pending={len(c.pending)}"
+                )
+        for count in ("sent", "delivered", "dropped"):
+            links = sum(getattr(c, count) for c in self._channels.values())
+            if links != getattr(stats, f"messages_{count}"):
+                raise AssertionError(
+                    "link drop-accounting invariant violated: links "
+                    f"{count}={links}, but {stats}"
                 )
 
-    def _channel(self, source: str, destination: str) -> _Channel:
-        key = (source, destination)
-        if key not in self._channels:
-            latency = self._link_latency.get(key, self.default_latency)
-            rng = random.Random(self.rng.getrandbits(64))
-            self._channels[key] = _Channel(source, destination, latency, rng)
-        return self._channels[key]
+    def _drop(self, channel: _Channel, reason: str) -> None:
+        """Account one message on *channel* as dropped, for *reason*."""
+        channel.dropped += 1
+        self.stats.messages_dropped += 1
+        if self.obs.enabled:
+            self.obs.event(
+                "net.drop",
+                source=channel.source,
+                destination=channel.destination,
+                reason=reason,
+            )
 
-    def _deliver(
-        self, channel: _Channel, source: str, destination: str, item: Any
-    ) -> None:
+    def _deliver(self, channel: _Channel, item: Any) -> None:
         channel.pending.popleft()
-        key = (source, destination)
-        endpoint = self._endpoints.get(destination)
+        endpoint = self._endpoints.get(channel.destination)
         if endpoint is None:
             # The destination unregistered mid-flight: the message is
             # dropped, not delivered — in_flight still re-reaches zero.
-            self.stats.messages_dropped += 1
-            self.stats.per_link_dropped[key] += 1
-            if self.obs.enabled:
-                self.obs.event(
-                    "net.drop",
-                    source=source,
-                    destination=destination,
-                    reason="unregistered",
-                )
+            self._drop(channel, "unregistered")
             return
+        channel.delivered += 1
         self.stats.messages_delivered += 1
-        self.stats.per_link_delivered[key] += 1
-        endpoint.on_message(source, item)
+        endpoint.on_message(channel.source, item)

@@ -87,8 +87,8 @@ class Observability:
     def gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name, value, self._clock())
 
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
+    def observe(self, name: str, value: float, n: int = 1) -> None:
+        self.metrics.observe(name, value, n)
 
     # -- tracing -----------------------------------------------------
 
@@ -154,7 +154,7 @@ class NullObservability:
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, n: int = 1) -> None:
         pass
 
     def span(self, name: str, **attrs: Any) -> Any:

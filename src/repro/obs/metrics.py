@@ -55,9 +55,11 @@ class Histogram:
     max: float = -math.inf
     buckets: dict[int, int] = field(default_factory=dict)
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, n: int = 1) -> None:
+        """*n* observations of *value*, summed one by one (bit-exact)."""
+        self.count += n
+        for _ in range(n):
+            self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -66,7 +68,7 @@ class Histogram:
             exponent = math.frexp(value)[1]
         else:
             exponent = -1024
-        self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
+        self.buckets[exponent] = self.buckets.get(exponent, 0) + n
 
     @property
     def mean(self) -> float:
@@ -119,12 +121,12 @@ class MetricsRegistry:
             gauge = self._gauges[name] = Gauge()
         gauge.set(value, time)
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, n: int = 1) -> None:
         histogram = self._histograms.get(name)
         if histogram is None:
             self._check_unused(name, "histogram")
             histogram = self._histograms[name] = Histogram()
-        histogram.observe(value)
+        histogram.observe(value, n)
 
     def read_through(self, name: str, reader: Callable[[], int]) -> None:
         """Export *name* as a counter whose value is ``reader()``."""

@@ -16,6 +16,7 @@ from repro.net import (
     PartitionWindow,
     ShardCrashWindow,
     ShardPartitionWindow,
+    UniformLatency,
     fault_plan_from_dict,
 )
 from repro.sim import RngStreams, Simulator
@@ -188,6 +189,151 @@ def test_injector_latency_spike_preserves_fifo():
     sim.run()
     assert [p for _, p in sink.got] == ["spiked", "normal"]
     assert net.quiescent()
+
+
+class _SpyFilter:
+    """Answers as *inner* does and counts the network's calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def should_drop(self, source, destination):
+        self.calls += 1
+        return self.inner.should_drop(source, destination)
+
+    def latency_factor(self, source, destination):
+        self.calls += 1
+        return self.inner.latency_factor(source, destination)
+
+
+def _spy_on(net, injector, always=False):
+    """Put a spy between *net* and *injector*; with *always*, the spy
+    stays installed between windows, so every send consults it."""
+    spy = _SpyFilter(injector)
+    install = net.set_fault_filter
+    net.set_fault_filter = lambda f: install(
+        spy if f is not None or always else None
+    )
+    return spy
+
+
+def test_sends_between_windows_make_no_filter_call():
+    sim, net = make_net()
+    net.register("a", Sink())
+    net.register("b", Sink())
+    plan = FaultPlan(disconnects=(DisconnectWindow("b", 1.0, 2.0),))
+    injector = FaultInjector(sim, net, plan)
+    spy = _spy_on(net, injector)
+    injector.install()
+    calls = []
+
+    def send():
+        net.send("a", "b", 0)
+        calls.append(spy.calls)
+
+    for at in (0.5, 1.5, 2.5):
+        sim.schedule_at(at, send)
+    sim.run()
+    assert calls == [0, 1, 1]  # only the send inside the window asks
+    assert net.stats.messages_dropped == 1
+
+    sim, net = make_net()
+    net.register("a", Sink())
+    net.register("b", Sink())
+    spike = LatencySpike(start=5.0, end=6.0, factor=2.0)
+    injector = FaultInjector(sim, net, FaultPlan(spikes=(spike,)))
+    spy = _spy_on(net, injector)
+    injector.install()
+    net.send("a", "b", 0)
+    assert spy.calls == 2  # a plan with spikes is consulted on every send
+
+
+@pytest.mark.parametrize("kind", ["disconnect", "crash"])
+def test_a_send_from_a_window_start_handler_is_filtered(kind):
+    """The injector is the filter before it calls a begin handler, so a
+    send the handler makes into the opening window drops."""
+    sim, net = make_net()
+    net.register("a", Sink())
+    sink = Sink()
+    net.register("b", sink)
+    if kind == "disconnect":
+        plan = FaultPlan(disconnects=(DisconnectWindow("b", 1.0, 2.0),))
+    else:
+        plan = FaultPlan(crashes=(ShardCrashWindow("b", 1.0, 2.0),))
+    injector = FaultInjector(sim, net, plan)
+
+    def late():
+        net.send("a", "b", "late")
+
+    injector.bind("b", on_disconnect=late, on_crash=late)
+    injector.install()
+    sim.run()
+    assert sink.got == []
+    assert net.stats.messages_dropped == 1
+
+
+def _fault_traffic(seed, always):
+    """Bursts of all-to-all broadcasts across a generated plan, some at
+    each window edge before and after the edge's event; returns each
+    delivery's time, the fault events, the send count and the plan."""
+    sim = Simulator()
+    net = Network(
+        sim, default_latency=UniformLatency(0.01, 0.5), streams=RngStreams(seed)
+    )
+    shards = ["s0", "s1", "s2"]
+    names = ["server", "w0", "w1", *shards]
+    delivered = {}
+    for name in names:
+        sink = Sink()
+        sink.on_message = lambda source, payload, name=name: delivered.setdefault(
+            (payload, name), sim.now
+        )
+        net.register(name, sink)
+    net.set_link_latency("server", "w0", ConstantLatency(0.05))
+    plan = FaultPlan.generate(
+        random.Random(seed), names, horizon=20.0, spike_prob=0.4,
+        shard_groups=(("s0",), ("s1", "s2")), crash_endpoints=shards,
+    )
+    injector = FaultInjector(sim, net, plan)
+    spy = _spy_on(net, injector, always)
+    ids = iter(range(10**6))
+
+    def burst():
+        for source in names:
+            others = [name for name in names if name != source]
+            net.broadcast(source, others, next(ids))
+
+    windows = [*plan.disconnects, *plan.spikes, *plan.shard_partitions,
+               *plan.crashes]
+    edges = sorted({t for w in windows for t in (w.start, w.end)})
+    rng = random.Random(seed)
+    for at in edges + [rng.uniform(0.0, 21.0) for _ in range(20)]:
+        sim.schedule_at(at, burst)  # before the window events
+    injector.install()
+    for at in edges:
+        sim.schedule_at(at, burst)  # after them
+    sim.run()
+    net.check_accounting()
+    events = [(e.time, e.kind, e.endpoint, e.purged) for e in injector.events]
+    return delivered, events, net.stats.messages_sent, plan, spy.calls
+
+
+def test_gated_filter_drops_and_delays_as_one_consulted_on_every_send():
+    kinds = set()
+    for seed in range(5):
+        *gated, plan, gated_calls = _fault_traffic(seed, always=False)
+        *always, _, always_calls = _fault_traffic(seed, always=True)
+        assert gated == always
+        delivered, _, sent = gated
+        assert 0 < len(delivered) < sent  # some drops, some deliveries
+        assert (gated_calls < always_calls) == (not plan.spikes)
+        kinds.update(
+            kind for kind in ("spikes", "shard_partitions", "crashes")
+            if getattr(plan, kind)
+        )
+        kinds.add("no spikes" if not plan.spikes else "spikes")
+    assert kinds == {"spikes", "no spikes", "shard_partitions", "crashes"}
 
 
 def test_injector_install_twice_rejected():

@@ -404,3 +404,102 @@ def test_events_fired_equals_messages_delivered():
     fired = sim.run()
     assert fired == net.stats.messages_delivered == 3 * 4 + 3
     assert obs.metrics.counter_value("sim.events_fired") == fired
+
+
+def test_check_accounting_detects_a_corrupted_link_count():
+    sim, net = make_net(latency=ConstantLatency(1.0))
+    net.register("a", Sink())
+    net.register("b", Sink())
+    net.send("a", "b", "x")
+    sim.run()
+    net.check_accounting()
+    channel = net._channels[("a", "b")]
+    channel.delivered += 1  # one link's own law breaks
+    with pytest.raises(AssertionError, match="on \\('a', 'b'\\)"):
+        net.check_accounting()
+    channel.sent += 1  # the link balances again, but not against stats
+    with pytest.raises(AssertionError, match="links sent=2"):
+        net.check_accounting()
+
+
+def test_per_link_sent_is_a_read_only_view_of_the_channels():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=3)
+    net.broadcast("server", list(sinks), "op")
+    net.send("c0", "server", "up")
+    sent = net.stats.per_link_sent
+    assert sent[("server", "c1")] == 1
+    assert sent.get(("c0", "server")) == 1
+    assert sent.get(("c1", "server"), 0) == 0
+    with pytest.raises(TypeError):
+        sent[("server", "c1")] = 5
+
+
+def _mixed_link_script(send_all):
+    """One server fanning out over constant, uniform, log-normal and
+    switched links; returns the delivery log and every channel's RNG
+    state.  *send_all(net, names, payload)* sends one payload to all."""
+    sim, net = make_net(latency=ConstantLatency(0.5), seed=11)
+    net.register("server", Sink())
+    names = ["const", "uniform", "lognormal", "switched", "default"]
+    log = []
+    for name in names:
+        sink = Sink()
+        sink.on_message = lambda source, payload, name=name: log.append(
+            (sim.now, name, payload)
+        )
+        net.register(name, sink)
+    net.set_link_latency("server", "const", ConstantLatency(0.25))
+    net.set_link_latency("server", "uniform", UniformLatency(0.1, 2.0))
+    net.set_link_latency("server", "lognormal", LogNormalLatency(0.3, 1.0))
+    send_all(net, names, "warm")  # every channel now exists
+    switched = net._channels[("server", "switched")]
+    assert switched.constant == 0.5
+    net.set_link_latency("server", "switched", UniformLatency(2.0, 4.0))
+    assert switched.constant is None
+    for i in range(3):
+        send_all(net, names, ("slow", i))
+    net.set_link_latency("server", "switched", ConstantLatency(0.05))
+    assert switched.constant == 0.05
+    send_all(net, names, "fast")  # clamped behind the slow ones
+    sim.run()
+    states = {
+        key: channel.rng.getstate() for key, channel in net._channels.items()
+    }
+    return log, states
+
+
+def test_broadcast_draws_the_same_rng_values_as_per_recipient_sends():
+    def broadcast(net, names, payload):
+        net.broadcast("server", names, payload)
+
+    def one_by_one(net, names, payload):
+        for name in names:
+            net.send("server", name, payload)
+
+    log, states = _mixed_link_script(broadcast)
+    assert (log, states) == _mixed_link_script(one_by_one)
+    on_switched = [(at, p) for at, name, p in log if name == "switched"]
+    (slow_at, _), (fast_at, fast) = on_switched[-2:]
+    assert fast == "fast" and fast_at == slow_at >= 2.0
+
+
+def test_broadcast_observes_a_run_of_equal_delays_once():
+    obs = Observability()
+    sim = Simulator(obs=obs)
+    net = Network(sim, default_latency=ConstantLatency(0.5), obs=obs)
+    net.register("server", Sink())
+    names = [f"c{i}" for i in range(8)]
+    for name in names:
+        net.register(name, Sink())
+    net.set_link_latency("server", "c3", ConstantLatency(0.1))
+    calls = []
+    observe = obs.observe
+    obs.observe = lambda *args: calls.append(args) or observe(*args)
+    net.broadcast("server", names, "op")
+    assert calls == [
+        ("net.latency_seconds", 0.5, 3),
+        ("net.latency_seconds", 0.1, 1),
+        ("net.latency_seconds", 0.5, 4),
+    ]
+    histogram = obs.metrics.to_dict()["histograms"]["net.latency_seconds"]
+    assert histogram["count"] == 8

@@ -60,6 +60,18 @@ class TestMetricsRegistry:
         assert histogram.min == 0.75 and histogram.max == 3.9
         assert histogram.mean == pytest.approx(9.15 / 4)
 
+    def test_histogram_run_of_equal_values_matches_single_observations(self):
+        values = [(0.1, 3), (0.7, 1), (0.1, 5), (0.0, 2)]
+        runs, singles = Histogram(), Histogram()
+        for value, n in values:
+            runs.observe(value, n)
+            for _ in range(n):
+                singles.observe(value)
+        # 0.1 is inexact in binary: the total is the same float only if
+        # a run adds the value once per observation.
+        assert runs.to_dict() == singles.to_dict()
+        assert runs.total.hex() == singles.total.hex()
+
     def test_histogram_sentinel_bucket_for_nonpositive(self):
         histogram = Histogram()
         histogram.observe(0.0)

@@ -3,9 +3,11 @@
 Each job of ``perfbench/workloads.py`` (imported as it is, not copied)
 ends with a fingerprint of its final state, and ``perfbench/run.py``
 prints them (``state fingerprint of seed N``).  This pins the run-seed
-1 panel of every workload, so a behaviour-preserving change is checked
-here instead of by hand.  An intentional change of a workload's state
-updates :data:`FINGERPRINTS` and says so in CHANGES.md.
+1 panel of every workload, and the run-seed 2 panel of the ingest
+workloads, so a behaviour-preserving change is checked here instead of
+by hand.  An intentional change of a workload's state updates
+:data:`FINGERPRINTS` or :data:`SEED_2_FINGERPRINTS` and says so in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ FINGERPRINTS = {
     "live-ingest": {1: "dac58d044b050d08"},
     "sharded-durable": {1: "89c88cd956fc0548"},
 }
+#: The ingest workloads' run-seed 2 panels: a second stream of each.
+SEED_2_FINGERPRINTS = {
+    "live-ingest": {2: "f7808447d8f944ba"},
+    "sharded-durable": {2: "9e5bf1760339a73d"},
+}
 
 pytestmark = [
     pytest.mark.slow,
@@ -50,12 +57,21 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
-def test_workload_panel_matches_pinned_fingerprints(name, workloads):
-    assert workloads.panel(name, RUN_SEED) == sorted(FINGERPRINTS[name])
+def _panel_fingerprints(workloads, name, run_seed):
     found = {}
-    for seed in workloads.panel(name, RUN_SEED):
+    for seed in workloads.panel(name, run_seed):
         job = workloads.WORKLOADS[name](seed, False)
         assert job.errors == []
         found[seed] = job.fingerprint
-    assert found == FINGERPRINTS[name]
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_workload_panel_matches_pinned_fingerprints(name, workloads):
+    assert workloads.panel(name, RUN_SEED) == sorted(FINGERPRINTS[name])
+    assert _panel_fingerprints(workloads, name, RUN_SEED) == FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED_2_FINGERPRINTS))
+def test_run_seed_2_panel_matches_pinned_fingerprints(name, workloads):
+    assert _panel_fingerprints(workloads, name, 2) == SEED_2_FINGERPRINTS[name]
