@@ -1,6 +1,7 @@
 """Repo-level pytest configuration.
 
-Makes ``src/`` importable when the package is not pip-installed and
+Makes ``src/`` (the ``repro`` package) and ``tools/`` (the
+``crowdlint`` linter) importable when nothing is pip-installed, and
 registers a hypothesis profile tolerant of the simulator-heavy tests
 (first-call imports and dataset generation can trip the default
 ``too_slow`` health check on cold caches).
@@ -9,9 +10,10 @@ registers a hypothesis profile tolerant of the simulator-heavy tests
 import sys
 from pathlib import Path
 
-_SRC = str(Path(__file__).parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _root in ("src", "tools"):
+    _path = str(Path(__file__).parent / _root)
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from hypothesis import HealthCheck, settings  # noqa: E402
 

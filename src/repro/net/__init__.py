@@ -12,8 +12,8 @@ partitions, latency spikes) so the session/resync machinery that
 restores it can be stress-tested.
 
 Payloads are delivered by reference, so every one must be an immutable
-value; crowdlint's ESC001 (:mod:`repro.analysis.escapes`) proves this
-for every send site statically.
+value; crowdlint's ESC001 (``tools/crowdlint/escapes.py``) proves
+this for every send site statically.
 """
 
 from repro.net.faults import (

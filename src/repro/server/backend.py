@@ -51,7 +51,7 @@ from repro.durability.wal import (
     WalRecord,
     encode_checkpoint,
 )
-from repro.net import Network
+from repro.net import FaultPlanError, Network
 from repro.sim import Simulator
 
 SERVER_NAME = "server"
@@ -525,7 +525,19 @@ class BackendServer:
         self, injector: Any, clients: dict[str, Any] | None = None
     ) -> None:
         """Wire the outage choreography of every worker endpoint in
-        *injector*'s plan (see :func:`bind_worker_faults`)."""
+        *injector*'s plan (see :func:`bind_worker_faults`).
+
+        Raises:
+            FaultPlanError: the plan has a crash window.  This backend
+                keeps no durable log to recover from, so a crash would
+                leave replicas silently diverged rather than fail.
+        """
+        if injector.plan.crashes:
+            raise FaultPlanError(
+                f"crash window on {injector.plan.crashes[0].endpoint!r}: "
+                "the unsharded backend cannot recover a crash (crash "
+                "windows need a sharded backend)"
+            )
         bind_worker_faults(
             injector, clients, self.detach_client, self._reconnect_worker
         )

@@ -101,7 +101,7 @@ from repro.durability.wal import (
     decode_checkpoint,
     encode_checkpoint,
 )
-from repro.net import Network
+from repro.net import FaultPlanError, Network
 from repro.server.backend import (
     SERVER_NAME,
     BackendServer,
@@ -1338,7 +1338,22 @@ class ShardedBackend:
                 rejoins them.  Kept by reference, so a live registry
                 that grows as workers trickle in
                 (``CollectionSession.clients``) stays current.
+
+        Raises:
+            FaultPlanError: a crash window names an endpoint that is
+                not one of this backend's shards.  Only a shard has the
+                WAL a restart recovers from; crashing anything else
+                would silently lose its state (or, for an unknown
+                endpoint, do nothing at all).
         """
+        shard_endpoints = {shard.endpoint for shard in self.shards}
+        for window in injector.plan.crashes:
+            if window.endpoint not in shard_endpoints:
+                raise FaultPlanError(
+                    f"crash window on {window.endpoint!r}, which is not a "
+                    "shard endpoint (" + ", ".join(sorted(shard_endpoints))
+                    + "): only a shard can crash and recover from its WAL"
+                )
         self._fault_clients = clients if clients is not None else {}
         self._fault_injector = injector
         bind_worker_faults(

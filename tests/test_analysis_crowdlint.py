@@ -1,4 +1,4 @@
-"""Tests for crowdlint (repro.analysis): per-rule fixture snippets
+"""Tests for crowdlint: per-rule fixture snippets
 (positive / negative / pragma-disabled), the project-level EXH001
 exhaustiveness checker on synthetic stacks, the CLI, and — the
 self-referential gate — an assertion that ``src/repro`` itself lints
@@ -11,15 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from crowdlint import (
     ALL_RULES,
     ExhaustivenessConfig,
+    Project,
     check_exhaustiveness,
     disabled_rules,
     lint_file,
     lint_paths,
 )
-from repro.analysis.__main__ import main
+from crowdlint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -229,27 +230,32 @@ def make_stack(tmp_path, messages_src=CLEAN_MESSAGES, with_handlers=True):
     return config
 
 
+def check_stack(root, config):
+    """EXH001 over a project of every file under *root*."""
+    return check_exhaustiveness(Project.load(sorted(root.rglob("*.py"))), config)
+
+
 def test_exh001_clean_stack(tmp_path):
-    assert check_exhaustiveness(make_stack(tmp_path)) == []
+    assert check_stack(tmp_path, make_stack(tmp_path)) == []
 
 
 def test_exh001_missing_apply(tmp_path):
     broken = CLEAN_MESSAGES.replace(
         "    def apply(self, table):\n        table.apply_insert(self)\n\n", ""
     )
-    diags = check_exhaustiveness(make_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_stack(tmp_path, broken))
     assert any("no apply()" in d.message for d in diags)
 
 
 def test_exh001_apply_targets_nonexistent_table_method(tmp_path):
     broken = CLEAN_MESSAGES.replace("apply_insert", "apply_bogus")
-    diags = check_exhaustiveness(make_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_stack(tmp_path, broken))
     assert any("apply_bogus" in d.message for d in diags)
 
 
 def test_exh001_undecoded_type_tag(tmp_path):
     broken = CLEAN_MESSAGES.replace('data["type"] == "insert"', 'data["type"] == "other"')
-    diags = check_exhaustiveness(make_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_stack(tmp_path, broken))
     assert any("no branch for type tag 'insert'" in d.message for d in diags)
 
 
@@ -259,13 +265,13 @@ def test_exh001_unregistered_message_class(tmp_path):
         "    def apply(self, table):\n        table.apply_insert(self)\n"
         "    def to_dict(self):\n        return {\"type\": \"insert\"}\n"
     )
-    diags = check_exhaustiveness(make_stack(tmp_path, rogue))
+    diags = check_stack(tmp_path, make_stack(tmp_path, rogue))
     assert any("not registered in the Message union" in d.message for d in diags)
 
 
 def test_exh001_missing_handler_entry_point(tmp_path):
     config = make_stack(tmp_path, with_handlers=False)
-    diags = check_exhaustiveness(config)
+    diags = check_stack(tmp_path, config)
     assert sum("on_message missing" in d.message for d in diags) == 2
 
 
@@ -333,11 +339,13 @@ def test_cli_rejects_unknown_rule(tmp_path):
 
 
 def test_src_repro_is_crowdlint_clean():
-    """The acceptance criterion: ``python -m repro.analysis src/repro``
-    exits 0 on the shipped tree — no findings at all — asserted here so
-    any regression fails the plain test suite too, not only the CI lint
-    job."""
-    diagnostics = lint_paths([REPO_ROOT / "src" / "repro"])
+    """The acceptance criterion: ``python -m crowdlint src/repro
+    tools/crowdlint`` exits 0 on the shipped tree — no findings at all —
+    asserted here so any regression fails the plain test suite too, not
+    only the CI lint job."""
+    diagnostics = lint_paths(
+        [REPO_ROOT / "src" / "repro", REPO_ROOT / "tools" / "crowdlint"]
+    )
     assert diagnostics == [], "\n".join(d.format() for d in diagnostics)
 
 

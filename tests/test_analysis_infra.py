@@ -6,14 +6,14 @@ from __future__ import annotations
 import json
 import textwrap
 
-from repro.analysis import (
+from crowdlint import (
     Diagnostic,
     lint_file,
     lint_paths,
     render_sarif,
     rule_docs,
 )
-from repro.analysis.__main__ import main
+from crowdlint.__main__ import main
 
 
 def diag(rule="MUT001", path="src/mod.py", line=3, col=1, message="boom"):

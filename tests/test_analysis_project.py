@@ -9,8 +9,8 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.dataflow import summarize_function
-from repro.analysis.project import (
+from crowdlint.dataflow import summarize_function
+from crowdlint.project import (
     Project,
     TypeRef,
     module_name_for,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import (
+from crowdlint import (
     ExhaustivenessConfig,
     Project,
     analyze_escapes,
@@ -20,8 +20,8 @@ from repro.analysis import (
     escape_report,
     lint_file,
 )
-from repro.analysis.codec import check_codecs
-from repro.analysis.commutativity import check_commutativity
+from crowdlint.codec import check_codecs
+from crowdlint.commutativity import check_commutativity
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -739,15 +739,20 @@ def make_sharded_stack(tmp_path, shard_src=GOOD_SHARD):
     return config
 
 
+def check_stack(root, config):
+    """EXH001 over a project of every file under *root*."""
+    return check_exhaustiveness(Project.load(sorted(root.rglob("*.py"))), config)
+
+
 def test_exh001_sharded_stack_clean(tmp_path):
-    assert check_exhaustiveness(make_sharded_stack(tmp_path)) == []
+    assert check_stack(tmp_path, make_sharded_stack(tmp_path)) == []
 
 
 def test_exh001_flags_undispatched_wire_class(tmp_path):
     broken = GOOD_SHARD.replace(
         "isinstance(payload, ExchangeBatch)", "payload is None"
     )
-    diags = check_exhaustiveness(make_sharded_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_sharded_stack(tmp_path, broken))
     assert any(
         "shard wire class ExchangeBatch is sent to peers" in d.message
         for d in diags
@@ -756,7 +761,7 @@ def test_exh001_flags_undispatched_wire_class(tmp_path):
 
 def test_exh001_flags_encoder_missing_union_member(tmp_path):
     broken = GOOD_SHARD.replace("isinstance(op, InsertMessage)", "bool(op)")
-    diags = check_exhaustiveness(make_sharded_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_sharded_stack(tmp_path, broken))
     assert any(
         "encode_exchange has no isinstance branch for Message union "
         "member InsertMessage" in d.message
@@ -769,7 +774,7 @@ def test_exh001_stack_without_shard_skips_shard_checks(tmp_path):
     (tmp_path / "server" / "shard.py").unlink()
     config = ExhaustivenessConfig.locate(tmp_path)
     assert config is not None and config.shard is None
-    assert check_exhaustiveness(config) == []
+    assert check_stack(tmp_path, config) == []
 
 
 # -- EXH001, CDC layer --------------------------------------------------------
@@ -800,14 +805,14 @@ def make_cdc_stack(tmp_path, cdc_src=GOOD_CDC_EVENTS):
 
 
 def test_exh001_cdc_stack_clean(tmp_path):
-    assert check_exhaustiveness(make_cdc_stack(tmp_path)) == []
+    assert check_stack(tmp_path, make_cdc_stack(tmp_path)) == []
 
 
 def test_exh001_flags_cdc_to_dict_not_delegating(tmp_path):
     broken = GOOD_CDC_EVENTS.replace(
         "self.message.to_dict()", '{"type": "insert", "row_id": self.row_id}'
     )
-    diags = check_exhaustiveness(make_cdc_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_cdc_stack(tmp_path, broken))
     assert any(
         "ChangeEvent.to_dict must delegate the payload to "
         "self.message.to_dict()" in d.message
@@ -819,7 +824,7 @@ def test_exh001_flags_cdc_decode_fork(tmp_path):
     broken = GOOD_CDC_EVENTS.replace(
         'message_from_dict(data["message"])', 'dict(data["message"])'
     )
-    diags = check_exhaustiveness(make_cdc_stack(tmp_path, broken))
+    diags = check_stack(tmp_path, make_cdc_stack(tmp_path, broken))
     assert any(
         "change_event_from_dict must decode the payload via "
         "message_from_dict" in d.message
@@ -832,4 +837,4 @@ def test_exh001_stack_without_cdc_skips_cdc_checks(tmp_path):
     (tmp_path / "cdc" / "events.py").unlink()
     config = ExhaustivenessConfig.locate(tmp_path)
     assert config is not None and config.cdc is None
-    assert check_exhaustiveness(config) == []
+    assert check_stack(tmp_path, config) == []

@@ -181,6 +181,34 @@ def test_run_fault_plan_crashes_require_shards(tmp_path):
               "--fault-plan", str(plan_file)])
 
 
+@pytest.mark.parametrize("endpoint", ["worker-1", "shard-7"])
+def test_run_rejects_a_crash_window_off_the_shards(
+    endpoint, tmp_path, capsys, monkeypatch
+):
+    """A crash window on a worker or on a shard the run does not have
+    is refused before any simulated time passes: a worker has no WAL to
+    recover from (its replica would silently diverge) and an unknown
+    endpoint's window would do nothing."""
+    import json
+
+    from repro.net import FaultPlanError
+    from repro.sim import Simulator
+
+    def no_time(self, *args, **kwargs):
+        raise AssertionError("simulated time passed")
+
+    monkeypatch.setattr(Simulator, "run", no_time)
+    monkeypatch.setattr(Simulator, "step", no_time)
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(
+        {"crashes": [{"endpoint": endpoint, "start": 100, "end": 300}]}
+    ))
+    with pytest.raises(FaultPlanError, match=f"crash window on '{endpoint}'"):
+        main(["run", "--seed", "3", "--shards", "2",
+              "--fault-plan", str(plan_file)])
+    assert capsys.readouterr().out == ""
+
+
 def test_run_cdc_export_lost_to_a_primary_crash_fails_loudly(tmp_path, capsys):
     """A crash of the primary shard loses the `--cdc-out` subscription:
     the CLI names the crashed endpoint, writes no export, exits non-zero

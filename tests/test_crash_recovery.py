@@ -47,13 +47,14 @@ from repro.durability import DurabilityConfig
 from repro.net import (
     FaultInjector,
     FaultPlan,
+    FaultPlanError,
     Network,
     ShardCrashWindow,
     UniformLatency,
 )
 from repro.obs import dump_json
 from repro.server import ShardedBackend
-from repro.server.backend import BootstrapState
+from repro.server.backend import BackendServer, BootstrapState
 from repro.server.shard import shard_endpoint
 from repro.server.tracelog import replay_trace
 from repro.sim import RngStreams, Simulator
@@ -609,3 +610,27 @@ def test_a_crashed_shard_refuses_deliveries(path):
         else:
             shard.ingest("c0", [message])
     assert shard.trace == [] and not shard._pending
+
+
+@pytest.mark.parametrize("endpoint", ["c0", "shard-7"])
+def test_a_crash_window_off_the_shards_is_refused(endpoint):
+    """Only a shard has the WAL a restart recovers from: a crash window
+    on a client would silently diverge its replica, and one on an
+    endpoint the backend does not have would do nothing.  Both are
+    refused when the plan is bound, naming the endpoint."""
+    plan = FaultPlan(crashes=(ShardCrashWindow(endpoint, 1.0, 2.0),))
+    with pytest.raises(FaultPlanError, match=f"crash window on '{endpoint}'"):
+        _build_crash_rig(2, 2, 5, plan)
+
+
+def test_the_unsharded_backend_refuses_every_crash_window():
+    sim = Simulator()
+    network = Network(sim)
+    backend = BackendServer(
+        sim, network, SCHEMA, SCORING, Template.cardinality(2)
+    )
+    plan = FaultPlan(
+        crashes=(ShardCrashWindow(shard_endpoint(0), 1.0, 2.0),)
+    )
+    with pytest.raises(FaultPlanError, match="crash window on 'shard-0'"):
+        backend.bind_faults(FaultInjector(sim, network, plan), clients={})
