@@ -133,26 +133,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     if args.command == "run":
+        import json
+
+        from repro.net import FaultPlanError, fault_plan_from_dict
+
         fault_plan = None
-        if args.fault_plan:
-            import json
-
-            from repro.net import fault_plan_from_dict
-
-            with open(args.fault_plan, "r", encoding="utf-8") as handle:
-                fault_plan = fault_plan_from_dict(json.load(handle))
-        config = ExperimentConfig(
-            seed=args.seed,
-            num_workers=args.workers,
-            target_rows=args.rows,
-            budget=args.budget,
-            use_recommender=args.recommender,
-            capture_cdc=bool(args.cdc_out),
-            shards=args.shards,
-            fault_plan=fault_plan,
-        )
         want_obs = bool(args.metrics_out or args.trace_out)
-        result = CrowdFillExperiment(config, obs=want_obs).run()
+        try:
+            if args.fault_plan:
+                with open(args.fault_plan, "r", encoding="utf-8") as handle:
+                    fault_plan = fault_plan_from_dict(json.load(handle))
+            config = ExperimentConfig(
+                seed=args.seed,
+                num_workers=args.workers,
+                target_rows=args.rows,
+                budget=args.budget,
+                use_recommender=args.recommender,
+                capture_cdc=bool(args.cdc_out),
+                shards=args.shards,
+                fault_plan=fault_plan,
+            )
+            result = CrowdFillExperiment(config, obs=want_obs).run()
+        except FaultPlanError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         status = (
             f"completed in {result.duration:.0f} simulated seconds"
             if result.completed
@@ -177,8 +181,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"({crashed}); {args.cdc_out} not written", file=sys.stderr)
             return 1
         if args.cdc_out:
-            import json
-
             with open(args.cdc_out, "w", encoding="utf-8") as handle:
                 for event in result.cdc_events:
                     handle.write(

@@ -24,7 +24,7 @@ from repro.datasets import (
     MovieUniverse,
     SoccerPlayerUniverse,
 )
-from repro.net import UniformLatency
+from repro.net import FaultPlanError, UniformLatency
 from repro.pay import (
     AllocationResult,
     AllocationScheme,
@@ -301,9 +301,7 @@ class CrowdFillExperiment:
 
             durability = DurabilityConfig()
         if plan is not None and plan.crashes and config.shards is None:
-            raise ValueError(
-                "crash windows need a sharded backend: set shards=N"
-            )
+            raise FaultPlanError("crash windows need a sharded backend: set shards=N")
 
         session = CollectionSession(
             seed=config.seed,

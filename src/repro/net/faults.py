@@ -649,7 +649,7 @@ class FaultInjector:
         self._link_heal_callbacks.append(callback)
 
     def install(self) -> None:
-        """Schedule the plan; filter sends while a filter can change one."""
+        """Schedule the plan; filter sends while a window can change one."""
         if self._installed:
             raise RuntimeError("fault injector already installed")
         self._installed = True
@@ -678,13 +678,22 @@ class FaultInjector:
             self.sim.schedule_at(
                 window.end, lambda w=window: self._end_crash(w.endpoint)
             )
+        for spike in self.plan.spikes:
+            if spike.end != math.inf:
+                self.sim.schedule_at(spike.end, self._refilter)
 
     # -- FaultFilter protocol ----------------------------------------------
 
     def _refilter(self) -> None:
-        """Filter sends only while a window is open or the plan has spikes."""
-        live = self.plan.spikes or self._down or self._crashed or self._cut
-        self.network.set_fault_filter(self if live else None)
+        """Filter sends while an outage, crash or cut is open, and from the
+        next spike's start on: by simulated time, not by event order."""
+        now = self.sim.now
+        live = self._down or self._crashed or self._cut
+        ahead = [spike.start for spike in self.plan.spikes if spike.end > now]
+        self.network.set_fault_filter(self if live or ahead else None)
+        if self.plan.spikes:
+            edge = now if live else min(ahead, default=math.inf)
+            self.network.skip_fault_filter_until(edge)
 
     def should_drop(self, source: str, destination: str) -> bool:
         return (

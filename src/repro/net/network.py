@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_che
 
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.sim import RngStreams, Simulator
-from repro.sim.events import Event, Member
+from repro.sim.events import Event
 
 if TYPE_CHECKING:
     from repro.obs import NullObservability, Observability
@@ -98,15 +98,44 @@ class _Channel:
         self.set_latency(latency)
         self.rng = rng
         self.last_delivery_time = 0.0
-        # FIFO of (event or group Member, payload) for deliveries not yet
-        # fired; lets a fault purge the wire when a connection breaks.
-        self.pending: deque[tuple[Event | Member, Any]] = deque()
+        # Deliveries not yet fired, FIFO: a broken connection purges them.
+        self.pending: deque[_Delivery] = deque()
         self.sent = self.delivered = self.dropped = 0
 
     def set_latency(self, latency: LatencyModel) -> None:
         """Use *latency*; a constant one's delay is cached as ``constant``."""
         self.latency = latency
         self.constant = latency.seconds if type(latency) is ConstantLatency else None
+
+
+class _Delivery(Event):
+    """One payload due on one or more links at one instant: one heap
+    entry, its recipients taking consecutive seqs in channel order.
+    A cancelled recipient's channel slot is cleared to ``None``."""
+
+    __slots__ = ("network", "channels", "payload")
+
+    def __init__(
+        self, network: Network, time: float, channels: list, payload: Any
+    ) -> None:
+        self.time, self.cancelled, self.size = time, False, len(channels)
+        self.network, self.channels, self.payload = network, channels, payload
+
+    def fire(self) -> None:
+        deliver = self.network._deliver
+        payload = self.payload
+        # The list is read live: a recipient's handler may cancel a later one.
+        for channel in self.channels:
+            if channel is not None:
+                deliver(channel, payload)
+
+    def cancel_on(self, channel: _Channel) -> int:
+        """Cancel the last recipient on *channel*, one not yet delivered,
+        and return its index."""
+        index = max(i for i, c in enumerate(self.channels) if c is channel)
+        self.channels[index] = None
+        self.skip_one()
+        return index
 
 
 class Network:
@@ -163,6 +192,7 @@ class Network:
         self._channels = self.stats.channels
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
         self._fault_filter: FaultFilter | None = None
+        self._filter_from = 0.0
         if self.obs.enabled:
             for count in ("sent", "delivered", "dropped"):
                 self.obs.metrics.read_through(
@@ -173,6 +203,10 @@ class Network:
     def set_fault_filter(self, fault_filter: FaultFilter | None) -> None:
         """Install (or clear) the fault filter consulted on every send."""
         self._fault_filter = fault_filter
+
+    def skip_fault_filter_until(self, time: float) -> None:
+        """Pass sends before simulated *time* as if no filter were installed."""
+        self._filter_from = time
 
     def register(self, name: str, endpoint: Endpoint) -> None:
         """Attach *endpoint* under *name*.
@@ -230,7 +264,7 @@ class Network:
     ) -> None:
         """The one send path: check every endpoint, then count, fault-filter,
         delay and schedule *payload* on each link in order; recipients with
-        one shared delivery time share one heap entry, in the same order."""
+        one shared delivery time share one delivery, in the same order."""
         if source not in self._endpoints:
             raise KeyError(f"unknown source endpoint: {source!r}")
         for destination in destinations:
@@ -238,9 +272,9 @@ class Network:
                 raise KeyError(f"unknown destination endpoint: {destination!r}")
         self.stats.messages_sent += len(destinations)
         obs = self.obs
-        faults = self._fault_filter
-        links = self._channels
         now = self.sim.now
+        faults = self._fault_filter if now >= self._filter_from else None
+        links = self._channels
         channels: list[_Channel] = []
         times: list[float] = []
         delays: list[float] = []
@@ -270,17 +304,14 @@ class Network:
         if obs.enabled:
             for delay, run in groupby(delays):
                 obs.observe("net.latency_seconds", delay, len(list(run)))
-        deliver = self._deliver
-        if len(times) > 1 and times.count(times[0]) == len(times):
-            members = self.sim.schedule_group_at(
-                times[0], len(times), lambda i: deliver(channels[i], payload)
-            )
-            for channel, member in zip(channels, members):
-                channel.pending.append((member, payload))
+        schedule = self.sim.schedule_event
+        if times and times.count(times[0]) == len(times):
+            delivery = schedule(_Delivery(self, times[0], channels, payload))
+            for channel in channels:
+                channel.pending.append(delivery)
         else:
             for channel, at in zip(channels, times):
-                event = self.sim.schedule_at(at, lambda c=channel: deliver(c, payload))
-                channel.pending.append((event, payload))
+                channel.pending.append(schedule(_Delivery(self, at, [channel], payload)))
 
     def drop_in_flight(self, endpoint: str) -> list[DroppedMessage]:
         """Purge every undelivered message to or from *endpoint*.
@@ -319,10 +350,10 @@ class Network:
         for key, channel in sorted(self._channels.items()):
             if not matches(key) or not channel.pending:
                 continue
-            for handle, payload in channel.pending:
-                handle.cancel()
-                dropped = DroppedMessage(channel.source, channel.destination, payload)
-                purged.append((handle.time, handle.seq, dropped))
+            for delivery in channel.pending:
+                seq = delivery.seq + delivery.cancel_on(channel)
+                dropped = DroppedMessage(*key, delivery.payload)
+                purged.append((delivery.time, seq, dropped))
             channel.dropped += len(channel.pending)
             channel.pending.clear()
         self.stats.messages_dropped += len(purged)

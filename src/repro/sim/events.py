@@ -6,8 +6,8 @@ instant fire in scheduling order.  This tie-break is what makes entire
 simulation runs deterministic.
 
 The heap holds ``(time, seq, event)`` tuples and a live count keeps
-``len`` O(1).  A *group* is one heap entry for ``n`` same-instant actions
-with consecutive seqs, which no other event can sort between.
+``len`` O(1).  An event of *size* n is one heap entry for n same-instant
+actions with consecutive seqs, which no other event can sort between.
 """
 
 from __future__ import annotations
@@ -22,23 +22,20 @@ class Event:
     Attributes:
         time: simulated time at which the event fires.
         seq: tie-breaker; assigned by the queue, increasing.
-        action: zero-argument callable run when the event fires.
+        fire: runs the event: its zero-argument action, or a subclass method.
         cancelled: cancelled events are skipped when popped.
-        size: events this one counts as (a group's uncancelled members).
+        size: events this one counts as (its actions not yet skipped).
     """
 
-    __slots__ = ("time", "seq", "action", "cancelled", "size", "_queue")
+    __slots__ = ("time", "seq", "fire", "cancelled", "size", "_queue")
 
-    def __init__(
-        self, time: float, seq: int, action: Callable[[], Any], queue: EventQueue
-    ) -> None:
+    def __init__(self, time: float, action: Callable[[], Any]) -> None:
         self.time = time
-        self.seq = seq
-        self.action = action
+        self.fire = action  # a slot, so firing costs no extra call
         self.cancelled = False
         self.size = 1
         # The queue counting this event until popped, cancelled or cleared.
-        self._queue: EventQueue | None = queue
+        self._queue: EventQueue | None = None
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it."""
@@ -47,27 +44,14 @@ class Event:
             self._queue._live -= self.size
             self._queue = None
 
-
-class Member:
-    """One action of a group: its own ``(time, seq)`` and cancel."""
-
-    __slots__ = ("time", "seq", "_group")
-
-    def __init__(self, time: float, seq: int, group: Event) -> None:
-        self.time = time
-        self.seq = seq
-        self._group: Event | None = group  # None once fired or cancelled
-
-    def cancel(self) -> None:
-        """Skip this member when its group fires; the others still fire."""
-        group = self._group
-        if group is not None:
-            self._group = None
-            group.size -= 1
-            if group._queue is not None:
-                group._queue._live -= 1
-                if not group.size:  # every member cancelled: skip the entry
-                    group.cancel()
+    def skip_one(self) -> None:
+        """Count one action fewer (the subclass skips it when it fires);
+        skipping the last one cancels the event."""
+        self.size -= 1
+        if self._queue is not None:
+            self._queue._live -= 1
+            if not self.size:
+                self.cancel()
 
 
 class EventQueue:
@@ -81,34 +65,15 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def push(self, time: float, action: Callable[[], Any]) -> Event:
-        """Schedule *action* at simulated *time* and return its event."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        event = Event(time, seq, action, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
+    def push_event(self, event: Event) -> Event:
+        """Schedule *event* at ``event.time`` as ``event.size`` events,
+        with consecutive seqs from ``event.seq``; return it."""
+        seq = event.seq = self._next_seq
+        self._next_seq = seq + event.size
+        self._live += event.size
+        event._queue = self
+        heapq.heappush(self._heap, (event.time, seq, event))
         return event
-
-    def push_group(
-        self, time: float, size: int, action: Callable[[int], Any]
-    ) -> list[Member]:
-        """*size* :meth:`push` calls of ``action(i)`` as one heap entry that
-        skips members cancelled before their turn; returns their handles."""
-        members: list[Member] = []
-
-        def fire() -> None:
-            for index, member in enumerate(members):
-                if member._group is not None:
-                    member._group = None
-                    action(index)
-
-        group = self.push(time, fire)
-        group.size = size
-        self._next_seq += size - 1
-        self._live += size - 1
-        members.extend(Member(time, group.seq + i, group) for i in range(size))
-        return members
 
     def pop(self) -> Event | None:
         """Remove and return the earliest non-cancelled event, or None."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.events import Event, EventQueue, Member
+from repro.sim.events import Event, EventQueue
 
 if TYPE_CHECKING:
     from repro.obs import NullObservability, Observability
@@ -62,7 +62,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events (group members) still waiting to fire."""
+        """Number of events still waiting to fire (see :attr:`Event.size`)."""
         return len(self._queue)
 
     def schedule(self, delay: float, action: Callable[[], Any]) -> Event:
@@ -80,25 +80,20 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self._queue.push(self._now + delay, action)
+        return self.schedule_at(self._now + delay, action)
 
     def schedule_at(self, time: float, action: Callable[[], Any]) -> Event:
         """Schedule *action* at absolute simulated *time* (>= now)."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}; clock is already at {self._now}"
-            )
-        return self._queue.push(time, action)
+        return self.schedule_event(Event(time, action))
 
-    def schedule_group_at(
-        self, time: float, size: int, action: Callable[[int], Any]
-    ) -> list[Member]:
-        """*size* :meth:`schedule_at` calls of ``action(i)`` as one heap entry."""
-        if time < self._now:
+    def schedule_event(self, event: Event) -> Event:
+        """Schedule a prebuilt *event* (see :meth:`EventQueue.push_event`)
+        at its absolute ``time`` (>= now)."""
+        if event.time < self._now:
             raise SimulationError(
-                f"cannot schedule at {time}; clock is already at {self._now}"
+                f"cannot schedule at {event.time}; clock is already at {self._now}"
             )
-        return self._queue.push_group(time, size, action)
+        return self._queue.push_event(event)
 
     def defer(self, action: Callable[[], Any]) -> None:
         """Run *action* at the end of the current simulated instant.
@@ -121,7 +116,7 @@ class Simulator:
         Args:
             until: stop (without firing) events scheduled after this time;
                 the clock is advanced to *until* when given.
-            max_events: safety bound on events fired (a group fires whole).
+            max_events: safety bound on events fired (a sized event fires whole).
 
         Returns:
             The number of events fired.
@@ -150,7 +145,7 @@ class Simulator:
                 event = queue.pop()
                 assert event is not None
                 self._now = event.time
-                event.action()
+                event.fire()
                 fired += event.size
         finally:
             self._running = False
@@ -164,5 +159,5 @@ class Simulator:
         return fired
 
     def step(self) -> bool:
-        """Fire the next event (or group).  False when the queue is empty."""
+        """Fire the next event (all its actions).  False when the queue is empty."""
         return self.run(max_events=1) > 0

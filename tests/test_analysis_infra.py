@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 from crowdlint import (
     Diagnostic,
@@ -187,6 +188,18 @@ class TestCli:
         """)
         assert main([str(tmp_path), "--escape-report"]) == 1
         assert "[flagged]" in capsys.readouterr().out
+
+    def test_cli_walks_each_root_once(self, monkeypatch, capsys):
+        """The file count comes from the walk the lint already made."""
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        walks = []
+        rglob = Path.rglob
+        monkeypatch.setattr(
+            Path, "rglob", lambda self, *a: walks.append(self) or rglob(self, *a)
+        )
+        assert main([str(root)]) == 0
+        assert walks == [root]
+        assert "files clean" in capsys.readouterr().out
 
     def test_select_accepts_new_rules(self, tmp_path):
         write(tmp_path, "ok.py", CLEAN)

@@ -163,9 +163,19 @@ def test_run_with_fault_plan_crash_windows(tmp_path, capsys):
     assert out.count("'name'") == 4  # the run still converged
 
 
-def test_run_fault_plan_crashes_require_shards(tmp_path):
-    """Crash windows without --shards are rejected: only the sharded
-    backend has a WAL to recover from."""
+def _refused(capsys, argv):
+    """Run ``repro run`` and return its one stderr line; the run must
+    exit non-zero and print nothing else."""
+    assert main(["run", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_run_fault_plan_crashes_require_shards(tmp_path, capsys):
+    """Crash windows without --shards are rejected with a one-line
+    error: only the sharded backend has a WAL to recover from."""
     import json
 
     from repro.net import FaultPlan, ShardCrashWindow
@@ -176,9 +186,21 @@ def test_run_fault_plan_crashes_require_shards(tmp_path):
     )
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps(plan.to_dict()))
-    with pytest.raises(ValueError, match="crash windows need a sharded"):
-        main(["run", "--seed", "3", "--workers", "3", "--rows", "4",
-              "--fault-plan", str(plan_file)])
+    err = _refused(capsys, ["--seed", "3", "--workers", "3", "--rows", "4",
+                            "--fault-plan", str(plan_file)])
+    assert "crash windows need a sharded backend" in err
+
+
+def test_run_rejects_a_malformed_fault_plan(tmp_path, capsys):
+    """A plan that does not load is a one-line error, not a traceback."""
+    import json
+
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(
+        {"disconnects": [{"endpoint": "worker-1", "start": 5, "ned": 9}]}
+    ))
+    err = _refused(capsys, ["--seed", "3", "--fault-plan", str(plan_file)])
+    assert "unknown key(s) 'ned'" in err
 
 
 @pytest.mark.parametrize("endpoint", ["worker-1", "shard-7"])
@@ -191,7 +213,6 @@ def test_run_rejects_a_crash_window_off_the_shards(
     endpoint's window would do nothing."""
     import json
 
-    from repro.net import FaultPlanError
     from repro.sim import Simulator
 
     def no_time(self, *args, **kwargs):
@@ -203,10 +224,9 @@ def test_run_rejects_a_crash_window_off_the_shards(
     plan_file.write_text(json.dumps(
         {"crashes": [{"endpoint": endpoint, "start": 100, "end": 300}]}
     ))
-    with pytest.raises(FaultPlanError, match=f"crash window on '{endpoint}'"):
-        main(["run", "--seed", "3", "--shards", "2",
-              "--fault-plan", str(plan_file)])
-    assert capsys.readouterr().out == ""
+    err = _refused(capsys, ["--seed", "3", "--shards", "2",
+                            "--fault-plan", str(plan_file)])
+    assert f"crash window on '{endpoint}'" in err
 
 
 def test_run_cdc_export_lost_to_a_primary_crash_fails_loudly(tmp_path, capsys):

@@ -246,7 +246,27 @@ def test_sends_between_windows_make_no_filter_call():
     spy = _spy_on(net, injector)
     injector.install()
     net.send("a", "b", 0)
-    assert spy.calls == 2  # a plan with spikes is consulted on every send
+    assert spy.calls == 0  # before the spike, no filter call
+    sim.schedule_at(5.5, lambda: net.send("a", "b", 1))
+    sim.run()
+    assert spy.calls == 2  # inside the spike, both calls
+
+
+def test_a_send_at_a_spike_start_gets_its_factor_before_any_event():
+    """The network gates the filter by simulated time, so a send fired
+    at a spike's start instant ahead of every window event is slowed."""
+    sim, net = make_net()
+    net.register("a", Sink())
+    sink = Sink()
+    net.register("b", sink)
+    at = []
+    sink.on_message = lambda source, payload: at.append(sim.now)
+    sim.schedule_at(5.0, lambda: net.send("a", "b", 0))  # before install
+    spike = LatencySpike(start=5.0, end=6.0, factor=3.0)
+    FaultInjector(sim, net, FaultPlan(spikes=(spike,))).install()
+    sim.schedule_at(6.0, lambda: net.send("a", "b", 1))  # spike over
+    sim.run()
+    assert at == [pytest.approx(5.3), pytest.approx(6.1)]
 
 
 @pytest.mark.parametrize("kind", ["disconnect", "crash"])

@@ -1,5 +1,6 @@
 """Unit tests for the simulated network."""
 
+import gc
 import random
 
 import pytest
@@ -296,6 +297,32 @@ def test_constant_latency_broadcast_is_one_heap_entry():
     net.check_accounting()
     assert sim.run() == 16
     assert all(sink.got == [("server", "op")] for sink in sinks.values())
+
+
+def _objects_held_in_flight(recipients):
+    """Tracked objects a broadcast to *recipients* keeps alive until it
+    is delivered, with the links already open and the GC off."""
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients)
+    names = list(sinks)
+    payload = ("op",)
+    net.broadcast("server", names, payload)  # opens every channel
+    sim.run()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        net.broadcast("server", names, payload)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert sim.run() == recipients
+    return held
+
+
+def test_a_broadcast_holds_the_same_few_objects_for_any_fan_out():
+    """One delivery object, its channel list and its heap entry: nothing
+    is allocated per recipient."""
+    held = {n: _objects_held_in_flight(n) for n in (4, 64)}
+    assert held[4] == held[64] <= 3
 
 
 def test_uniform_latency_broadcast_is_one_heap_entry_per_recipient():

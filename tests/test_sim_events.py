@@ -2,29 +2,35 @@
 
 import pytest
 
+from repro.net import ConstantLatency, Network
+from repro.sim import Simulator
 from repro.sim.events import Event, EventQueue
+
+
+def _push(queue, time, action):
+    return queue.push_event(Event(time, action))
 
 
 def test_push_returns_event():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = _push(queue, 1.0, lambda: None)
     assert isinstance(event, Event)
     assert event.time == 1.0
 
 
 def test_pop_orders_by_time():
     queue = EventQueue()
-    queue.push(2.0, lambda: "b")
-    queue.push(1.0, lambda: "a")
-    queue.push(3.0, lambda: "c")
+    _push(queue, 2.0, lambda: "b")
+    _push(queue, 1.0, lambda: "a")
+    _push(queue, 3.0, lambda: "c")
     times = [queue.pop().time for _ in range(3)]
     assert times == [1.0, 2.0, 3.0]
 
 
 def test_ties_break_by_scheduling_order():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: "first")
-    second = queue.push(1.0, lambda: "second")
+    first = _push(queue, 1.0, lambda: "first")
+    second = _push(queue, 1.0, lambda: "second")
     assert queue.pop() is first
     assert queue.pop() is second
 
@@ -35,8 +41,8 @@ def test_pop_empty_returns_none():
 
 def test_cancelled_events_are_skipped():
     queue = EventQueue()
-    doomed = queue.push(1.0, lambda: "doomed")
-    survivor = queue.push(2.0, lambda: "ok")
+    doomed = _push(queue, 1.0, lambda: "doomed")
+    survivor = _push(queue, 2.0, lambda: "ok")
     doomed.cancel()
     assert queue.pop() is survivor
     assert queue.pop() is None
@@ -44,8 +50,8 @@ def test_cancelled_events_are_skipped():
 
 def test_len_excludes_cancelled():
     queue = EventQueue()
-    keep = queue.push(1.0, lambda: None)
-    drop = queue.push(2.0, lambda: None)
+    keep = _push(queue, 1.0, lambda: None)
+    drop = _push(queue, 2.0, lambda: None)
     drop.cancel()
     assert len(queue) == 1
     assert queue.pop() is keep
@@ -53,8 +59,8 @@ def test_len_excludes_cancelled():
 
 def test_peek_time_skips_cancelled():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    first = _push(queue, 1.0, lambda: None)
+    _push(queue, 2.0, lambda: None)
     first.cancel()
     assert queue.peek_time() == 2.0
 
@@ -65,8 +71,8 @@ def test_peek_time_empty_is_none():
 
 def test_clear_drops_everything():
     queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    _push(queue, 1.0, lambda: None)
+    _push(queue, 2.0, lambda: None)
     queue.clear()
     assert queue.pop() is None
     assert len(queue) == 0
@@ -74,16 +80,16 @@ def test_clear_drops_everything():
 
 def test_many_events_fifo_within_same_time():
     queue = EventQueue()
-    events = [queue.push(5.0, lambda i=i: i) for i in range(50)]
+    events = [_push(queue, 5.0, lambda i=i: i) for i in range(50)]
     popped = [queue.pop() for _ in range(50)]
     assert popped == events
 
 
 def test_event_ordering_is_stable_after_interleaved_cancel():
     queue = EventQueue()
-    a = queue.push(1.0, lambda: None)
-    b = queue.push(1.0, lambda: None)
-    c = queue.push(1.0, lambda: None)
+    a = _push(queue, 1.0, lambda: None)
+    b = _push(queue, 1.0, lambda: None)
+    c = _push(queue, 1.0, lambda: None)
     b.cancel()
     assert queue.pop() is a
     assert queue.pop() is c
@@ -93,14 +99,14 @@ def test_event_ordering_is_stable_after_interleaved_cancel():
 def test_len_matches_pushes(n):
     queue = EventQueue()
     for i in range(n):
-        queue.push(float(i), lambda: None)
+        _push(queue, float(i), lambda: None)
     assert len(queue) == n
 
 
 def test_len_counts_a_double_cancel_once():
     queue = EventQueue()
-    doomed = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    doomed = _push(queue, 1.0, lambda: None)
+    _push(queue, 2.0, lambda: None)
     doomed.cancel()
     doomed.cancel()
     assert len(queue) == 1
@@ -108,79 +114,104 @@ def test_len_counts_a_double_cancel_once():
 
 def test_cancel_after_pop_keeps_the_count():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    first = _push(queue, 1.0, lambda: None)
+    _push(queue, 2.0, lambda: None)
     assert queue.pop() is first
     assert len(queue) == 1
     first.cancel()
     assert len(queue) == 1
 
 
+def _sized(time, size):
+    """A prebuilt event that counts as *size* events."""
+    event = Event(time, lambda: None)
+    event.size = size
+    return event
+
+
+def _fan_out(recipients):
+    """A server broadcasting over constant 1 s links to *recipients*
+    sinks that log ``(name, payload)`` in delivery order."""
+    sim = Simulator()
+    net = Network(sim, default_latency=ConstantLatency(1.0))
+    log = []
+    net.register("server", _Sink(log, "server"))
+    names = [f"c{i}" for i in range(recipients)]
+    for name in names:
+        net.register(name, _Sink(log, name))
+    return sim, net, names, log
+
+
+class _Sink:
+    def __init__(self, log, name):
+        self.log, self.name, self.then = log, name, None
+
+    def on_message(self, source, payload):
+        self.log.append((self.name, payload))
+        if self.then is not None:
+            self.then()
+
+
 def test_cancel_after_clear_keeps_the_count():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    members = queue.push_group(2.0, 3, lambda index: None)
+    event = _push(queue, 1.0, lambda: None)
+    sized = queue.push_event(_sized(2.0, 3))
     queue.clear()
     event.cancel()
-    members[1].cancel()
+    sized.skip_one()
     assert len(queue) == 0
-    queue.push(3.0, lambda: None)
+    _push(queue, 3.0, lambda: None)
     assert len(queue) == 1
 
 
 def test_group_takes_consecutive_seqs_and_counts_each_member():
     queue = EventQueue()
-    before = queue.push(1.0, lambda: None)
-    members = queue.push_group(1.0, 3, lambda index: None)
-    after = queue.push(1.0, lambda: None)
-    assert [m.seq for m in members] == [1, 2, 3]
-    assert {m.time for m in members} == {1.0}
+    before = _push(queue, 1.0, lambda: None)
+    sized = queue.push_event(_sized(1.0, 3))
+    after = _push(queue, 1.0, lambda: None)
+    assert (sized.seq, sized.time) == (1, 1.0)  # seqs 1, 2 and 3
     assert after.seq == 4
     assert len(queue) == 5
-    assert len(queue._heap) == 3  # one entry for the whole group
+    assert len(queue._heap) == 3  # one entry for the sized event
     assert queue.pop() is before
+    assert queue.pop() is sized
+    assert len(queue) == 1
 
 
 def test_group_fires_live_members_in_order():
-    queue = EventQueue()
-    fired = []
-    members = queue.push_group(1.0, 4, fired.append)
-    members[1].cancel()
-    members[1].cancel()
+    sim, net, names, log = _fan_out(4)
+    net.broadcast("server", names, "op")
+    net.drop_in_flight("c1")
+    net.drop_in_flight("c1")
+    queue = sim._queue
     assert len(queue) == 3
-    group = queue.pop()
+    delivery = queue.pop()
     assert len(queue) == 0
-    group.action()
-    assert fired == [0, 2, 3]
-    assert group.size == 3  # counts as three fired events
-    members[0].cancel()  # already fired: no effect
-    assert group.size == 3
+    delivery.fire()
+    assert log == [("c0", "op"), ("c2", "op"), ("c3", "op")]
+    assert delivery.size == 3  # counts as three fired events
+    assert net.drop_in_flight("c0") == []  # already delivered: no effect
+    assert delivery.size == 3
     assert len(queue) == 0
 
 
 def test_member_cancelled_by_an_earlier_member_does_not_fire():
-    queue = EventQueue()
-    fired = []
-
-    def action(index):
-        fired.append(index)
-        if index == 0:
-            members[2].cancel()
-
-    members = queue.push_group(1.0, 3, action)
-    group = queue.pop()
-    group.action()
-    assert fired == [0, 1]
-    assert group.size == 2
-    assert len(queue) == 0
+    sim, net, names, log = _fan_out(3)
+    net._endpoints["c0"].then = lambda: net.drop_in_flight("c2")
+    net.broadcast("server", names, "op")
+    delivery = sim._queue.pop()
+    delivery.fire()
+    assert log == [("c0", "op"), ("c1", "op")]
+    assert delivery.size == 2
+    assert len(sim._queue) == 0
+    net.check_accounting()
 
 
 def test_group_with_every_member_cancelled_is_skipped():
-    queue = EventQueue()
-    members = queue.push_group(1.0, 2, lambda index: None)
-    survivor = queue.push(2.0, lambda: None)
-    for member in members:
-        member.cancel()
-    assert len(queue) == 1
-    assert queue.peek_time() == 2.0
-    assert queue.pop() is survivor
+    sim, net, names, log = _fan_out(2)
+    net.broadcast("server", names, "op")
+    survivor = _push(sim._queue, 2.0, lambda: None)
+    assert len(net.drop_in_flight("server")) == 2
+    assert len(sim._queue) == 1
+    assert sim._queue.peek_time() == 2.0
+    assert sim._queue.pop() is survivor

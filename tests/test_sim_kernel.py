@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.net import ConstantLatency, Network
+from repro.sim import Event, Simulator
 from repro.sim.kernel import SimulationError
 
 
@@ -125,22 +126,45 @@ def test_same_time_events_fire_in_scheduling_order():
     assert fired == list(range(10))
 
 
+def _fan_out(sim, recipients, fired):
+    """A network on *sim* whose server reaches *recipients* sinks over
+    constant 1 s links; each sink appends its name to *fired*."""
+    net = Network(sim, default_latency=ConstantLatency(1.0))
+    net.register("server", _Sink(fired, "server"))
+    names = [f"c{i}" for i in range(recipients)]
+    for name in names:
+        net.register(name, _Sink(fired, name))
+    return net, names
+
+
+class _Sink:
+    def __init__(self, fired, name):
+        self.fired, self.name, self.then = fired, name, None
+
+    def on_message(self, source, payload):
+        self.fired.append(self.name)
+        if self.then is not None:
+            self.then()
+
+
 def test_group_fires_in_seq_order_and_counts_each_member():
     sim = Simulator()
     fired = []
+    net, names = _fan_out(sim, 3, fired)
     sim.schedule_at(1.0, lambda: fired.append("before"))
-    sim.schedule_group_at(1.0, 3, fired.append)
+    net.broadcast("server", names, "op")
     sim.schedule_at(1.0, lambda: fired.append("after"))
     assert sim.run() == 5
-    assert fired == ["before", 0, 1, 2, "after"]
+    assert fired == ["before", "c0", "c1", "c2", "after"]
 
 
 def test_pending_events_counts_live_group_members():
     sim = Simulator()
-    members = sim.schedule_group_at(1.0, 4, lambda index: None)
+    net, names = _fan_out(sim, 4, [])
+    net.broadcast("server", names, "op")
     sim.schedule(2.0, lambda: None)
     assert sim.pending_events == 5
-    members[2].cancel()
+    net.drop_in_flight("c2")
     assert sim.pending_events == 4
     assert sim.step() is True
     assert sim.pending_events == 1
@@ -150,27 +174,24 @@ def test_pending_events_counts_live_group_members():
 def test_member_cancelled_mid_group_is_not_counted_as_fired():
     sim = Simulator()
     fired = []
-
-    def action(index):
-        fired.append(index)
-        if index == 0:
-            members[1].cancel()
-
-    members = sim.schedule_group_at(1.0, 3, action)
+    net, names = _fan_out(sim, 3, fired)
+    net._endpoints["c0"].then = lambda: net.drop_in_flight("c1")
+    net.broadcast("server", names, "op")
     assert sim.run() == 2
-    assert fired == [0, 2]
+    assert fired == ["c0", "c2"]
     assert sim.pending_events == 0
 
 
 def test_step_fires_a_whole_group():
     sim = Simulator()
     fired = []
-    sim.schedule_group_at(1.0, 3, fired.append)
+    net, names = _fan_out(sim, 3, fired)
+    net.broadcast("server", names, "op")
     sim.schedule(2.0, lambda: fired.append("later"))
     assert sim.step() is True
-    assert fired == [0, 1, 2]
+    assert fired == ["c0", "c1", "c2"]
     assert sim.step() is True
-    assert fired == [0, 1, 2, "later"]
+    assert fired == ["c0", "c1", "c2", "later"]
     assert sim.step() is False
 
 
@@ -179,4 +200,4 @@ def test_group_at_past_time_rejected():
     sim.schedule(5.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_group_at(3.0, 2, lambda index: None)
+        sim.schedule_event(Event(3.0, lambda: None))

@@ -48,6 +48,7 @@ from crowdlint.linter import (
     ALL_RULES,
     escape_report,
     lint_file,
+    lint_files,
     lint_paths,
     project_passes,
     rule_docs,
@@ -67,6 +68,7 @@ __all__ = [
     "disabled_rules",
     "escape_report",
     "lint_file",
+    "lint_files",
     "lint_paths",
     "project_passes",
     "render_json",

@@ -28,7 +28,7 @@ from crowdlint.linter import (
     ALL_RULES,
     escape_report,
     iter_python_files,
-    lint_paths,
+    lint_files,
     rule_docs,
 )
 from crowdlint.report import render_json, render_text
@@ -115,9 +115,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rule(s): {', '.join(sorted(unknown))}")
 
-    diagnostics = lint_paths(paths, select=select)
+    files = iter_python_files(paths)
+    diagnostics = lint_files(files, paths, select=select)
 
-    files_checked = len(iter_python_files(paths))
+    files_checked = len(files)
     if args.format == "json":
         print(render_json(diagnostics, files_checked))
     else:

@@ -231,17 +231,26 @@ def lint_paths(
     paths: Sequence[Path],
     select: frozenset[str] | None = None,
 ) -> list[Diagnostic]:
-    """Lint every Python file under *paths*: parse each once, run the
+    """Lint every Python file under *paths*."""
+    return lint_files(iter_python_files(paths), paths, select)
+
+
+def lint_files(
+    files: Sequence[Path],
+    roots: Sequence[Path],
+    select: frozenset[str] | None = None,
+) -> list[Diagnostic]:
+    """Lint *files*, the walk of *roots*: parse each once, run the
     per-file rules on it, then the project-wide passes over them all."""
     modules: list[ModuleInfo] = []
     diagnostics: list[Diagnostic] = []
-    for path in iter_python_files(paths):
+    for path in files:
         parsed = _parse(path)
         if isinstance(parsed, Diagnostic):
             diagnostics.append(parsed)
             continue
         modules.append(parsed)
         diagnostics.extend(lint_module(parsed, select))
-    diagnostics.extend(project_passes(Project(modules), paths, select))
+    diagnostics.extend(project_passes(Project(modules), roots, select))
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
     return diagnostics
