@@ -11,6 +11,7 @@ from repro.durability.wal import (
     DurableLog,
     DurableStore,
     WalCorruptionError,
+    WalPosition,
     WalRecord,
     decode_checkpoint,
     encode_checkpoint,
@@ -23,6 +24,7 @@ __all__ = [
     "DurableLog",
     "DurableStore",
     "WalCorruptionError",
+    "WalPosition",
     "WalRecord",
     "decode_checkpoint",
     "encode_checkpoint",

@@ -7,13 +7,20 @@ back with amnesia — so surviving one needs state that outlives the
 process:
 
 - a **write-ahead log** (:class:`DurableLog`): the owning server
-  appends one :class:`WalRecord` per applied operation — origin commit
-  coordinate ``(shard_id, lseq)``, originating worker, apply timestamp,
-  and the message itself — *before* the operation becomes visible
-  (before broadcast, before exchange flush).  The log is the full apply
-  sequence, never truncated, so a recovering shard can rebuild its
-  commit log, its per-peer applied prefix vector, and its entire trace
-  from the log alone;
+  appends one record per applied operation *before* the operation
+  becomes visible (before broadcast, before exchange flush).  An
+  operation is durable once the shard that committed it holds it
+  (Sutra and Shapiro's decentralised commit), so each operation is
+  logged in full exactly once, at its origin: a shard writes a
+  full :class:`WalRecord` — origin commit coordinate
+  ``(shard_id, lseq)``, originating worker, apply timestamp, and the
+  message itself — for the operations it commits, and a
+  :class:`WalPosition` — the origin coordinate and the local apply
+  timestamp, a few bytes — for each peer operation it applies.  The
+  log is never truncated and still lists the full apply sequence, so
+  a recovering shard rebuilds its commit log, its per-peer applied
+  prefix vector, and its entire trace from its own log plus its
+  origins' full records (:meth:`DurableLog.commits`);
 - a **checkpoint** (:func:`encode_checkpoint`): a
   ``BootstrapState``-shaped copy of the table captured at a CDC
   :class:`~repro.cdc.events.Cut`, taken at drain boundaries on a
@@ -22,12 +29,14 @@ process:
   the cut does not cover — the same snapshot-plus-tail contract the
   DBLog-style subscription bootstrap uses, addressed by the same cuts.
 
-Record framing is line-oriented JSON with a strict tail rule: every
-newline-terminated line must decode (an undecodable terminated line is
-mid-log corruption, :class:`WalCorruptionError`); trailing bytes with
-no terminator are a *torn tail* — a record the crash interrupted
-mid-write, never acknowledged, silently discarded by
-:meth:`DurableLog.replay`.  Decoding builds fresh message objects via
+Record framing is line-oriented with a strict tail rule: a full record
+is one canonical JSON object, a position is ``shard_id lseq
+timestamp`` in ASCII; every newline-terminated line must decode (an
+undecodable terminated line is mid-log corruption,
+:class:`WalCorruptionError`); trailing bytes with no terminator are a
+*torn tail* — a record the crash interrupted mid-write, never
+acknowledged, silently discarded by :meth:`DurableLog.replay`.
+Decoding builds fresh message objects via
 :func:`~repro.core.messages.message_from_dict`, so a recovered replica
 never aliases the bytes (or objects) it logged: no replica shares
 state with the log.
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator, NamedTuple, Union
 
 from repro.cdc.events import Cut, cut_from_dict
 from repro.core.messages import Message, message_from_dict
@@ -57,14 +66,18 @@ class WalCorruptionError(RuntimeError):
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One durably-logged applied operation.
+    """One durably-logged operation, in full.
+
+    A shard writes a full record only for an operation it commits
+    itself (and a plain server for every operation: it is the one
+    origin); a peer's operation is logged as a :class:`WalPosition`
+    that recovery resolves against this record in the origin's log.
 
     Attributes:
-        shard_id: origin shard of the commit (the local shard for its
-            own commits, the owner for operations applied via the
-            exchange stream) — together with ``lseq`` this is the same
-            origin coordinate the change stream tracks, so replaying
-            the log re-derives the per-peer applied prefix vector.
+        shard_id: origin shard of the commit — together with ``lseq``
+            the same origin coordinate the change stream tracks, so
+            replaying the log re-derives the per-peer applied prefix
+            vector.
         lseq: the slot in the origin shard's dense local commit
             sequence.
         worker_id: the originating worker (or the Central Client id).
@@ -100,10 +113,51 @@ def wal_record_from_dict(data: dict[str, Any]) -> WalRecord:
     )
 
 
+class WalPosition(NamedTuple):
+    """A peer's operation applied here: where it lives, not what it is.
+
+    The operation itself is durable in its origin's log (as a
+    :class:`WalRecord` at ``(shard_id, lseq)``); this shard logs only
+    the coordinate and its own apply timestamp, which is all replay
+    needs to rebuild its trace entry.
+    """
+
+    shard_id: int
+    lseq: int
+    timestamp: float
+
+
+#: What one WAL line decodes to.
+WalEntry = Union[WalRecord, WalPosition]
+
+
+#: Canonical JSON, built once: ``json.dumps`` with these arguments
+#: constructs a fresh encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _encode_line(document: dict[str, Any]) -> bytes:
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")
+
+
+def _decode_number(token: bytes) -> float:
+    # Timestamps keep their type, as JSON keeps it for full records:
+    # repr() writes every float with a '.', an exponent or a letter.
+    return int(token) if token.lstrip(b"-").isdigit() else float(token)
+
+
+def _decode_position(line: bytes) -> WalPosition:
+    shard_id, lseq, timestamp = line.split(b" ")
+    return WalPosition(int(shard_id), int(lseq), _decode_number(timestamp))
+
+
+def _decode_line(index: int, line: bytes) -> WalEntry:
+    try:
+        if line[:1] == b"{":
+            return wal_record_from_dict(json.loads(line.decode("utf-8")))
+        return _decode_position(line)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise WalCorruptionError(f"WAL record {index} is corrupt: {exc}") from exc
 
 
 class DurableLog:
@@ -124,9 +178,12 @@ class DurableLog:
     def size_bytes(self) -> int:
         return len(self._buf)
 
-    def append(self, record: WalRecord) -> None:
+    def append(self, record: WalEntry) -> None:
         """Durably append one record (framing: encoded line + ``\\n``)."""
-        self._buf += _encode_line(record.to_dict()) + b"\n"
+        if type(record) is WalPosition:
+            self._buf += b"%d %d %a\n" % record
+        else:
+            self._buf += _encode_line(record.to_dict()) + b"\n"
         self.records_appended += 1
 
     def truncate_tail(self, nbytes: int) -> None:
@@ -144,33 +201,42 @@ class DurableLog:
             self.records_appended -= self._buf.count(b"\n", cut)
             del self._buf[cut:]
 
-    def replay(self) -> tuple[list[WalRecord], int]:
+    def _lines(self) -> tuple[list[bytes], int]:
+        """The newline-terminated lines and the torn tail's length."""
+        data = bytes(self._buf)
+        end = data.rfind(b"\n") + 1
+        return data[:end].split(b"\n")[:-1], len(data) - end
+
+    def replay(self) -> tuple[list[WalEntry], int]:
         """Decode the durable records, oldest first.
 
         Returns ``(records, torn_bytes)``: every newline-terminated
-        record, plus the length of the discarded unterminated tail (0
-        on a clean log).  A torn tail is *safe* to discard — the append
-        protocol logs before acknowledging, so a torn record was never
-        visible to anyone.
+        record — a :class:`WalRecord` or a :class:`WalPosition` — plus
+        the length of the discarded unterminated tail (0 on a clean
+        log).  A torn tail is *safe* to discard — the append protocol
+        logs before acknowledging, so a torn record was never visible
+        to anyone.
 
         Raises:
             WalCorruptionError: a terminated record failed to decode
                 (damage inside the log, not a torn write).
         """
-        data = bytes(self._buf)
-        end = data.rfind(b"\n") + 1
-        torn = len(data) - end
-        records: list[WalRecord] = []
-        for index, line in enumerate(data[:end].split(b"\n")[:-1]):
-            try:
-                records.append(
-                    wal_record_from_dict(json.loads(line.decode("utf-8")))
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise WalCorruptionError(
-                    f"WAL record {index} is corrupt: {exc}"
-                ) from exc
-        return records, torn
+        lines, torn = self._lines()
+        return [_decode_line(index, line) for index, line in enumerate(lines)], torn
+
+    def commits(self) -> Iterator[WalRecord]:
+        """This log's full records — its owner's own commits, in lseq
+        order — decoded lazily into fresh objects: what a peer's
+        recovery resolves its positions against.  Position lines are
+        skipped undecoded and a torn tail is ignored.
+
+        Raises:
+            WalCorruptionError: a terminated full record failed to
+                decode.
+        """
+        for index, line in enumerate(self._lines()[0]):
+            if line[:1] == b"{":
+                yield _decode_line(index, line)  # type: ignore[misc]
 
 
 @dataclass(frozen=True)
@@ -212,7 +278,7 @@ class DurableStore:
         self.records_covered = 0
         self.recoveries = 0
 
-    def append(self, record: WalRecord) -> None:
+    def append(self, record: WalEntry) -> None:
         self.log.append(record)
 
     @property

@@ -48,6 +48,7 @@ from repro.core.table import BatchApplyError, CandidateTable
 from repro.durability.wal import (
     DurabilityConfig,
     DurableStore,
+    WalPosition,
     WalRecord,
     encode_checkpoint,
 )
@@ -287,6 +288,10 @@ class BackendServer:
     (``final_epoch``) or a PRI repair ran — the only events that can
     change its verdict.
     """
+
+    #: The origin this server commits under: a plain server is the one
+    #: origin 0 (a shard overrides it with its own id).
+    shard_id = 0
 
     def __init__(
         self,
@@ -692,7 +697,7 @@ class BackendServer:
         """Trace one applied message.  On a plain backend the whole
         trace is one dense commit sequence, so each operation commits
         at origin coordinate ``(0, seq)``."""
-        return self._trace(message, worker_id, 0, len(self.trace))
+        return self._trace(message, worker_id, self.shard_id, len(self.trace))
 
     def _trace(
         self, message: Message, worker_id: str, shard_id: int, lseq: int
@@ -722,25 +727,33 @@ class BackendServer:
         The record joins the trace; then, unless it is being *replayed*
         from the WAL at recovery (already logged, and covered by the
         recovered stream cut), it is write-ahead-logged (when durability
-        is on) and noted on the change stream.  The WAL append happens
-        before the record becomes visible to any consumer — before the
-        broadcast fan-out and before the end-of-drain exchange flush —
-        the invariant crash recovery counts on: anything a peer or
-        client ever saw is in the log.
+        is on) and noted on the change stream.  An operation this
+        server committed is logged in full; a peer's is logged as its
+        :class:`~repro.durability.wal.WalPosition`, since its origin's
+        log already holds it.  The WAL append happens before the record
+        becomes visible to any consumer — before the broadcast fan-out
+        and before the end-of-drain exchange flush — the invariant
+        crash recovery counts on: anything a peer or client ever saw is
+        in the log.
         """
         self.trace.append(record)
         if replayed:
             return
         if self.durable is not None:
-            self.durable.append(
-                WalRecord(
-                    shard_id=record.shard_id,
-                    lseq=record.lseq,
-                    worker_id=record.worker_id,
-                    timestamp=record.timestamp,
-                    message=record.message,
+            if record.shard_id == self.shard_id:
+                self.durable.append(
+                    WalRecord(
+                        shard_id=record.shard_id,
+                        lseq=record.lseq,
+                        worker_id=record.worker_id,
+                        timestamp=record.timestamp,
+                        message=record.message,
+                    )
                 )
-            )
+            else:
+                self.durable.append(
+                    WalPosition(record.shard_id, record.lseq, record.timestamp)
+                )
         self.changes.note(record)
 
     # -- durability ------------------------------------------------------------

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.cdc.events import Cut
 from repro.cdc.subscription import Subscription
@@ -89,6 +89,7 @@ from repro.core.messages import (
     UndoDownvoteMessage,
     UndoUpvoteMessage,
     UpvoteMessage,
+    message_from_dict,
 )
 from repro.core.replica import Replica
 from repro.core.row import CellValue, RowValue
@@ -96,7 +97,9 @@ from repro.core.schema import Schema
 from repro.core.scoring import ScoringFunction
 from repro.durability.wal import (
     DurabilityConfig,
+    DurableLog,
     WalCorruptionError,
+    WalPosition,
     WalRecord,
     decode_checkpoint,
     encode_checkpoint,
@@ -487,17 +490,26 @@ class ShardServer(BackendServer):
         if record.shard_id == self.shard_id:
             self.commit_log.append(record)
 
-    def _relog(self, record: WalRecord, *, replayed: bool) -> None:
-        """Trace a WAL record's operation through :meth:`_log`, keeping
-        its logged timestamp and origin coordinate."""
+    def _relog(
+        self,
+        shard_id: int,
+        lseq: int,
+        worker_id: str,
+        timestamp: float,
+        message: Message,
+        *,
+        replayed: bool,
+    ) -> None:
+        """Trace a logged operation through :meth:`_log`, keeping its
+        logged timestamp and origin coordinate."""
         self._log(
             TraceRecord(
                 seq=len(self.trace),
-                timestamp=record.timestamp,
-                worker_id=record.worker_id,
-                message=record.message,
-                shard_id=record.shard_id,
-                lseq=record.lseq,
+                timestamp=timestamp,
+                worker_id=worker_id,
+                message=message,
+                shard_id=shard_id,
+                lseq=lseq,
             ),
             replayed=replayed,
         )
@@ -564,19 +576,32 @@ class ShardServer(BackendServer):
 
     def _flush_exchange(self) -> None:
         """Push the unsent commit-log suffix to every peer (one batch
-        per peer per flush — the asymmetric broadcast)."""
+        per peer per flush — the asymmetric broadcast).  Peers at the
+        same sent mark share one encoded batch: it is immutable, and
+        each receiver decodes its own fresh objects."""
         self._flush_needed = False
+        committed = len(self.commit_log)
+        batches: dict[int, ExchangeBatch] = {}
         for peer in self.peers:
-            if self._sent[peer] < len(self.commit_log):
-                self._send_to_peer(peer)
+            start = self._sent[peer]
+            if start < committed:
+                batch = batches.get(start)
+                if batch is None:
+                    batch = batches[start] = encode_exchange(
+                        self.shard_id, start, self.commit_log[start:]
+                    )
+                self._send_batch(peer, batch)
 
     def _send_to_peer(self, peer: str) -> None:
         start = self._sent[peer]
-        entries = self.commit_log[start:]
-        batch = encode_exchange(self.shard_id, start, entries)
-        self._sent[peer] = len(self.commit_log)
+        self._send_batch(
+            peer, encode_exchange(self.shard_id, start, self.commit_log[start:])
+        )
+
+    def _send_batch(self, peer: str, batch: ExchangeBatch) -> None:
+        self._sent[peer] = batch.first_lseq + len(batch)
         self.exchange_batches_sent += 1
-        self.exchange_ops_sent += len(entries)
+        self.exchange_ops_sent += len(batch)
         self.network.send(self.endpoint, peer, batch)
 
     def resync_peer(self, peer: str, acknowledged: int) -> int:
@@ -704,7 +729,7 @@ class ShardServer(BackendServer):
             self.obs.inc(f"{self._obs_ns}.crashes")
             self.obs.event(f"{self._obs_ns}.crash")
 
-    def recover(self) -> int:
+    def recover(self, origins: Mapping[int, DurableLog] | None = None) -> int:
         """Restart from durable state: checkpoint + WAL-suffix replay.
 
         Rebuilds the table, the full trace (and with it the local
@@ -715,20 +740,38 @@ class ShardServer(BackendServer):
         torn WAL tail — an unterminated final line — is discarded and
         truncated, exactly like an fsync that never completed.  Replay
         is silent: no broadcasts, no trace listeners, no exchange
-        flushes — everything replayed was already visible before the
-        crash.
+        flushes, no change-stream notes — everything replayed was
+        already visible before the crash, peer operations included.
+
+        Args:
+            origins: the WALs of the shards whose operations this log
+                holds as positions, by shard id.  Each is read forward
+                once (:meth:`~repro.durability.wal.DurableLog.commits`),
+                only as far as this log's last position from it, and
+                each position is rebuilt from its origin's full record
+                with this shard's own apply timestamp.
 
         Returns the number of WAL records replayed past the checkpoint.
         Rejoining the exchange mesh and the client fan-out is the
         restart choreography's job, not this method's — see
         :meth:`ShardedBackend._on_shard_restart`.
+
+        Raises:
+            WalCorruptionError: a WAL line is corrupt, or a position's
+                origin record is missing from *origins*.
         """
         if not self.crashed:
             raise RuntimeError(f"{self.endpoint!r} is not crashed")
         assert self.durable is not None
-        records, torn = self.durable.log.replay()
+        entries, torn = self.durable.log.replay()
         if torn:
             self.durable.log.truncate_tail(torn)
+        # Each origin's commits, decoded lazily in lseq order: a log
+        # holds each origin's operations in that order too, so one
+        # forward pass per origin resolves every position.
+        commits = {
+            shard_id: log.commits() for shard_id, log in (origins or {}).items()
+        }
         checkpoint = self.durable.load_checkpoint()
         central_doc: dict[str, Any] | None = None
         if checkpoint is not None:
@@ -742,29 +785,33 @@ class ShardServer(BackendServer):
             sid: count for sid, count in cut.counts if count
         }
         replayed = 0
-        for record in records:
-            if not cut.covers(record.shard_id, record.lseq):
+        for entry in entries:
+            shard_id, lseq = entry.shard_id, entry.lseq
+            if type(entry) is WalPosition:
+                full = self._origin_record(commits, shard_id, lseq)
+                worker_id, message = full.worker_id, full.message
+            else:
+                worker_id, message = entry.worker_id, entry.message
+                if shard_id == self.shard_id and lseq != len(self.commit_log):
+                    raise WalCorruptionError(
+                        f"{self.endpoint}: WAL lseq {lseq} does "
+                        f"not extend the recovered commit log (length "
+                        f"{len(self.commit_log)})"
+                    )
+            if not cut.covers(shard_id, lseq):
                 # Past the checkpoint: re-apply to the table and
                 # advance the prefix vector.  Covered records are
                 # already inside the checkpoint state; they are
                 # replayed into the trace/commit log only.
-                record.message.apply(table)
+                message.apply(table)
                 self.replica.messages_processed += 1
                 position += 1
                 replayed += 1
-                counts[record.shard_id] = max(
-                    counts.get(record.shard_id, 0), record.lseq + 1
-                )
-            if (
-                record.shard_id == self.shard_id
-                and record.lseq != len(self.commit_log)
-            ):
-                raise WalCorruptionError(
-                    f"{self.endpoint}: WAL lseq {record.lseq} does "
-                    f"not extend the recovered commit log (length "
-                    f"{len(self.commit_log)})"
-                )
-            self._relog(record, replayed=True)
+                counts[shard_id] = max(counts.get(shard_id, 0), lseq + 1)
+            self._relog(
+                shard_id, lseq, worker_id, entry.timestamp, message,
+                replayed=True,
+            )
         self._received_from = {
             sid: count
             for sid, count in counts.items()
@@ -774,7 +821,7 @@ class ShardServer(BackendServer):
             Cut(position=position, counts=tuple(sorted(counts.items())))
         )
         if self.hosts_central:
-            self._recover_central(central_doc, records)
+            self._recover_central(central_doc, self.trace)
             central = self.central
             assert central is not None
             self._completion = _CompletionTracker(
@@ -791,10 +838,25 @@ class ShardServer(BackendServer):
             )
         return replayed
 
+    def _origin_record(
+        self, commits: dict[int, Iterator[WalRecord]], shard_id: int, lseq: int
+    ) -> WalRecord:
+        """The full record at ``(shard_id, lseq)`` in its origin's log,
+        read forward from where the previous position left off."""
+        for record in commits.get(shard_id, ()):
+            if record.lseq >= lseq:
+                if record.lseq == lseq:
+                    return record
+                break
+        raise WalCorruptionError(
+            f"{self.endpoint}: WAL position ({shard_id}, {lseq}) has no "
+            "record in its origin's WAL"
+        )
+
     def _recover_central(
         self,
         central_doc: dict[str, Any] | None,
-        records: list,
+        records: list[TraceRecord],
     ) -> None:
         """Reconstruct the Central Client over the recovered table.
 
@@ -841,21 +903,24 @@ class ShardServer(BackendServer):
             central.replica.advance_row_counter(floor)
         self.central = central
 
-    def recommit_lost(self, records: list) -> int:
-        """Re-adopt own commits that survived only in a peer's WAL.
+    def recommit_lost(self, records: list[TraceRecord]) -> int:
+        """Re-adopt own commits that survived only in a peer's trace.
 
-        A commit can reach a peer (who logs it) and then be lost here
-        to a torn WAL tail.  Commit decisions are never revoked, so at
-        restart such commits are re-adopted into this shard's log at
-        their original slots: applied, traced, re-WAL-logged, and
-        re-noted on the change stream.  No broadcast happens — no
-        clients are attached during the restart choreography.
+        A commit can reach a peer (which applies it and logs its
+        position) and then be lost here to a torn WAL tail.  Commit
+        decisions are never revoked, so at restart such commits are
+        re-adopted into this shard's log at their original slots:
+        applied, traced, re-WAL-logged in full, and re-noted on the
+        change stream.  No broadcast happens — no clients are attached
+        during the restart choreography.
 
         Args:
-            records: this shard's lost :class:`WalRecord` s, recovered
-                from the surviving peers' logs.  Entries below the
-                recovered commit-log length are skipped as duplicates;
-                a gap above it raises :class:`ShardExchangeError`.
+            records: this shard's lost commits, as a surviving peer
+                traced them.  Each message is rebuilt through its
+                ``to_dict`` form, so nothing is aliased with the peer.
+                Entries below the recovered commit-log length are
+                skipped as duplicates; a gap above it raises
+                :class:`ShardExchangeError`.
 
         Returns the number of re-adopted commits.
         """
@@ -876,9 +941,13 @@ class ShardServer(BackendServer):
                     f"does not extend the commit log (length "
                     f"{len(self.commit_log)})"
                 )
-            record.message.apply(self.replica.table)
+            message = message_from_dict(record.message.to_dict())
+            message.apply(self.replica.table)
             self.replica.messages_processed += 1
-            self._relog(record, replayed=False)
+            self._relog(
+                record.shard_id, record.lseq, record.worker_id,
+                record.timestamp, message, replayed=False,
+            )
             adopted += 1
         return adopted
 
@@ -1429,9 +1498,10 @@ class ShardedBackend:
 
         Order matters:
 
-        1. :meth:`ShardServer.recover` — checkpoint + WAL replay.
+        1. :meth:`ShardServer.recover` — checkpoint + WAL replay, each
+           peer operation resolved against its origin shard's WAL.
         2. :meth:`ShardServer.recommit_lost` — commits that survived
-           only in a surviving peer's WAL (torn local tail) are
+           only in a surviving peer's trace (torn local tail) are
            re-adopted at their original slots.
         3. :meth:`resync_links` — the exchange mesh heals exactly like
            a partition: every sender rolls back to the receiver's
@@ -1448,21 +1518,22 @@ class ShardedBackend:
         Surviving shards never pause: they kept committing and serving
         their clients throughout the window and only resync here.
         """
-        shard.recover()
+        shard.recover({
+            origin.shard_id: origin.durable.log
+            for origin in self.shards
+            if origin is not shard and origin.durable is not None
+        })
         survivors = [
             other
             for other in self.shards + self.followers
             if other is not shard and not other.crashed
         ]
         recovered = len(shard.commit_log)
-        lost: dict[int, Any] = {}
+        lost: dict[int, TraceRecord] = {}
         for peer in survivors:
-            if peer.durable is None:
-                continue
             if peer.received_from(shard.shard_id) <= recovered:
                 continue
-            records, _ = peer.durable.log.replay()
-            for rec in records:
+            for rec in peer.trace:
                 if rec.shard_id == shard.shard_id and rec.lseq >= recovered:
                     lost.setdefault(rec.lseq, rec)
         if lost:

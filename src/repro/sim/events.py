@@ -34,7 +34,7 @@ class Event:
         self.fire = action  # a slot, so firing costs no extra call
         self.cancelled = False
         self.size = 1
-        # The queue counting this event until popped, cancelled or cleared.
+        # The queue counting this event until popped or cancelled.
         self._queue: EventQueue | None = None
 
     def cancel(self) -> None:
@@ -92,10 +92,3 @@ class EventQueue:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for _, _, event in self._heap:
-            event._queue = None
-        self._heap.clear()
-        self._live = 0

@@ -22,11 +22,13 @@ closes and the network quiesces:
 
 The torn-tail legs tear the last WAL record mid-write (an fsync that
 never completed) *after* the exchange propagated it, and recovery must
-re-adopt the lost commits from a surviving peer's WAL at their original
-slots.  The ingest-never-paused witness checks the survivors kept
-committing while a peer was down, as in the PR 9 follower-bootstrap
-suite.  Recovered replicas never alias logged payloads: the WAL codec
-rebuilds every object from bytes.
+re-adopt a lost own commit from a surviving peer's trace at its original
+slot (peers log only its position).  The ingest-never-paused witness
+checks the survivors kept committing while a peer was down, as in the
+follower-bootstrap suite.  Recovered replicas never alias logged
+payloads: the WAL codec rebuilds every object from bytes, positions
+resolved against their origins' logs, and no op a recovered shard
+replays is noted twice on its change stream.
 """
 
 from __future__ import annotations
@@ -39,11 +41,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdc.subscription import ChangeStream
 from repro.cdc.view import canonical_state
 from repro.client import WorkerClient
 from repro.constraints import Template
 from repro.core.messages import TraceRecord
-from repro.durability import DurabilityConfig
+from repro.durability import (
+    DurabilityConfig,
+    DurableLog,
+    WalCorruptionError,
+    WalPosition,
+    WalRecord,
+    decode_checkpoint,
+)
 from repro.net import (
     FaultInjector,
     FaultPlan,
@@ -231,16 +241,44 @@ def _log_key(record):
     )
 
 
+def _resolved_wal(backend, shard):
+    """*shard*'s WAL replay, and the same records with each position
+    resolved against its origin shard's full records."""
+    records, torn = shard.durable.log.replay()
+    assert torn == 0
+    commits = {
+        origin.shard_id: {r.lseq: r for r in origin.durable.log.commits()}
+        for origin in backend.shards
+    }
+    resolved = []
+    for record in records:
+        if isinstance(record, WalPosition):
+            full = commits[record.shard_id][record.lseq]
+            record = WalRecord(
+                record.shard_id, record.lseq, full.worker_id,
+                record.timestamp, full.message,
+            )
+        resolved.append(record)
+    return records, resolved
+
+
 def _assert_single_log(backend):
     """Each shard's trace is its one in-memory log: it matches the WAL
-    replay record for record, and the commit log is exactly its
+    replay, positions resolved, record for record; the WAL holds a
+    full record for exactly the shard's own commits and a position for
+    each peer op it applied; and the commit log is exactly its
     local-origin entries (the same objects), in lseq order."""
     for shard in backend.shards:
-        records, torn = shard.durable.log.replay()
-        assert torn == 0
+        records, resolved = _resolved_wal(backend, shard)
         assert [_log_key(r) for r in shard.trace] == [
-            _log_key(r) for r in records
+            _log_key(r) for r in resolved
         ]
+        full = [r for r in records if isinstance(r, WalRecord)]
+        assert all(r.shard_id == shard.shard_id for r in full)
+        assert len(full) == len(shard.commit_log)
+        assert len(records) - len(full) == len(shard.trace) - len(
+            shard.commit_log
+        )
         assert [r.seq for r in shard.trace] == list(range(len(shard.trace)))
         local = [r for r in shard.trace if r.shard_id == shard.shard_id]
         assert len(shard.commit_log) == len(local)
@@ -321,52 +359,61 @@ _TORN_SCHEDULE = sorted(
 )
 
 
-def _run_torn_tail(tear_fraction: float, latency_seed: int = 5):
+def _run_torn_tail(tear_fraction: float, latency_seed: int):
     """Quiesce (everything exchanged), crash shard 1, tear part of its
-    last WAL record mid-window, restart.  The torn commits survive only
-    in the peers' WALs — `recommit_lost` must re-adopt them."""
+    last WAL record mid-window, restart.  A torn own commit survives
+    only in the peer's trace — `recommit_lost` must re-adopt it."""
     plan = FaultPlan(crashes=(ShardCrashWindow(shard_endpoint(1), 6.0, 8.0),))
     sim, network, backend, clients, injector, names = _build_crash_rig(
         2, 3, latency_seed, plan, checkpoint_interval=256
     )
     _schedule_ops(sim, clients, names, _TORN_SCHEDULE)
 
-    torn = {}
+    torn = {"readopted": 0}
+    shard = backend.shards[1]
+    recommit_lost = shard.recommit_lost
+
+    def observed_recommit_lost(records):
+        adopted = recommit_lost(records)
+        torn["readopted"] += adopted
+        return adopted
+
+    shard.recommit_lost = observed_recommit_lost
 
     def tear():
-        shard = backend.shards[1]
         assert shard.crashed
         log = shard.durable.log
         records, _ = log.replay()
         if not records:
             return
-        last_line_bytes = len(
-            json.dumps(
-                records[-1].to_dict(), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        ) + 1
+        data = bytes(log._buf)
+        last_line_bytes = len(data) - data.rfind(b"\n", 0, len(data) - 1) - 1
         nbytes = max(1, int(last_line_bytes * tear_fraction))
         log.truncate_tail(min(nbytes, log.size_bytes))
         torn["bytes"] = nbytes
-        # The WAL holds every *applied* record, exchanged peer commits
-        # included; only shard 1's own commits repopulate commit_log.
+        torn["own_tail"] = records[-1].shard_id == 1
+        # The WAL holds a record (full or position) per applied op;
+        # only shard 1's own commits repopulate commit_log.
         torn["own_before"] = sum(1 for r in records if r.shard_id == 1)
 
     # All ops land by ~4.5 and the exchange drains before the crash at
-    # 6.0, so every commit in the torn tail is covered by a peer's WAL.
+    # 6.0, so every commit in the torn tail is in the peer's trace.
     sim.schedule_at(7.0, tear)
     _finish(sim, network, injector)
     return backend, clients, network, torn
 
 
-def test_torn_tail_recovery_readopts_lost_commits_from_peer_wal():
-    backend, clients, network, torn = _run_torn_tail(tear_fraction=0.5)
+def test_torn_tail_recovery_readopts_lost_commits_from_peer_trace():
+    # At latency seed 14 shard 1's last WAL record is its own commit.
+    backend, clients, network, torn = _run_torn_tail(0.5, latency_seed=14)
     assert torn["bytes"] > 0  # the tear really happened
+    assert torn["own_tail"]
+    assert torn["readopted"] >= 1
     shard = backend.shards[1]
     assert shard.durable.recoveries == 1
     # The re-adopted commits are back at their original slots: the
     # recovered commit log is as long as the pre-tear one.
-    assert len(shard.commit_log) >= torn["own_before"] - 1
+    assert len(shard.commit_log) >= torn["own_before"]
     _assert_crash_convergence(backend, clients, network)
 
 
@@ -380,10 +427,13 @@ def test_torn_tail_recovery_readopts_lost_commits_from_peer_wal():
 )
 def test_torn_tail_recovery_at_any_tear_point(tear_fraction, latency_seed):
     """Tearing any proper fraction of the last WAL record — from one
-    byte to all-but-one — recovers to the same converged state."""
+    byte to all-but-one — recovers to the same converged state, and a
+    torn own commit is always re-adopted."""
     backend, clients, network, torn = _run_torn_tail(
         tear_fraction, latency_seed
     )
+    if torn.get("own_tail"):
+        assert torn["readopted"] >= 1
     _assert_crash_convergence(backend, clients, network)
 
 
@@ -531,9 +581,9 @@ def test_recovery_replays_at_most_the_checkpoint_cadence_bound():
     seen = []
     recover = shard.recover
 
-    def observed_recover():
+    def observed_recover(origins):
         covered = shard.durable.records_covered
-        replayed = recover()
+        replayed = recover(origins)
         seen.append((replayed, covered))
         return replayed
 
@@ -569,8 +619,9 @@ def test_four_shard_trace_matches_wal_after_seeded_crash():
 
 def test_crash_recovery_rebuilds_from_logged_bytes():
     """Recovered replicas are rebuilt from logged bytes: every WAL
-    replay decodes fresh message objects, so no recovered object can
-    alias a payload another replica holds, and the run converges."""
+    replay, and every origin log a position resolves against, decodes
+    fresh message objects, so no recovered object can alias a payload
+    another replica holds, and the run converges."""
     plan = _crash_plan(7, 2, [])
     sim, network, backend, clients, injector, names = _build_crash_rig(
         2, 3, 5, plan
@@ -580,10 +631,81 @@ def test_crash_recovery_rebuilds_from_logged_bytes():
     _assert_crash_convergence(backend, clients, network)
     assert sum(shard.durable.recoveries for shard in backend.shards) >= 1
     for shard in backend.shards:
-        first, _ = shard.durable.log.replay()
-        second, _ = shard.durable.log.replay()
+        _, first = _resolved_wal(backend, shard)
+        _, second = _resolved_wal(backend, shard)
         assert first and first == second
         assert all(a.message is not b.message for a, b in zip(first, second))
+
+
+def test_recovery_notes_no_applied_op_twice(monkeypatch):
+    """The witness for "recovery replays silently": on a 4-shard run
+    whose primary crashes after a checkpoint and recovers, every
+    change-stream note is one advance of some shard's stream position
+    (perfbench's traced ``cdc.notes`` reconciliation).  Peer ops the
+    victim applied past its checkpoint come back from their positions
+    in its WAL; were they left to the exchange resync instead, the
+    victim would note them a second time."""
+    notes = []
+    note = ChangeStream.note
+
+    def counted_note(stream, record):
+        notes.append(record)
+        note(stream, record)
+
+    monkeypatch.setattr(ChangeStream, "note", counted_note)
+    plan = FaultPlan(crashes=(ShardCrashWindow(shard_endpoint(0), 6.0, 7.5),))
+    sim, network, backend, clients, injector, names = _build_crash_rig(
+        4, 4, 5, plan, checkpoint_interval=4
+    )
+    victim = backend.primary
+    recover = victim.recover
+    past_checkpoint = []
+
+    def observed_recover(origins):
+        checkpoint = victim.durable.load_checkpoint()
+        assert checkpoint is not None
+        covered = decode_checkpoint(checkpoint)[1]
+        past_checkpoint.extend(
+            record
+            for record in victim.durable.log.replay()[0]
+            if isinstance(record, WalPosition)
+            and not covered.covers(record.shard_id, record.lseq)
+        )
+        return recover(origins)
+
+    victim.recover = observed_recover
+    _schedule_ops(sim, clients, names, _PINNED_SCHEDULE)
+    _finish(sim, network, injector)
+    assert victim.durable.recoveries == 1
+    assert past_checkpoint  # peer ops the checkpoint did not cover
+    assert len(notes) == sum(shard.changes.position for shard in backend.shards)
+    _assert_crash_convergence(backend, clients, network)
+
+
+def test_a_position_whose_origin_record_is_lost_is_corruption():
+    """A position resolves against its origin's full record; if that
+    record is gone (a torn origin tail with no live peer copy left to
+    re-adopt it from) recovery refuses to guess, naming the coordinate."""
+    sim, network, backend, clients, injector, names = _build_crash_rig(
+        2, 4, 5, FaultPlan()
+    )
+    _schedule_ops(sim, clients, names, _PINNED_SCHEDULE)
+    _finish(sim, network, injector)
+    shard = backend.shards[1]
+    position = next(
+        record for record in shard.durable.log.replay()[0]
+        if isinstance(record, WalPosition)
+    )
+    origin = DurableLog()
+    for record in backend.shards[0].durable.log.replay()[0]:
+        if not (isinstance(record, WalRecord) and record.lseq == position.lseq):
+            origin.append(record)
+    shard.crash()
+    with pytest.raises(
+        WalCorruptionError,
+        match=rf"shard-1: WAL position \(0, {position.lseq}\) has no record",
+    ):
+        shard.recover({0: origin})
 
 
 @pytest.mark.parametrize("path", ["on_message", "ingest"])

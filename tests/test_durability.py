@@ -18,6 +18,7 @@ from repro.durability import (
     DurableLog,
     DurableStore,
     WalCorruptionError,
+    WalPosition,
     WalRecord,
     decode_checkpoint,
     encode_checkpoint,
@@ -140,6 +141,63 @@ def test_mid_log_corruption_raises():
 
 def test_empty_log_replays_to_nothing():
     assert DurableLog().replay() == ([], 0)
+
+
+# -- positions ---------------------------------------------------------------
+
+
+def test_positions_replay_in_order_with_full_records():
+    log = DurableLog()
+    entries = [
+        make_record(lseq=0),
+        WalPosition(shard_id=1, lseq=0, timestamp=2.125),
+        make_record(lseq=1),
+        WalPosition(shard_id=3, lseq=7, timestamp=0.1 + 0.2),
+    ]
+    for entry in entries:
+        log.append(entry)
+    assert log.replay() == (entries, 0)
+    assert log.records_appended == 4
+
+
+def test_a_position_is_a_few_bytes_and_keeps_its_timestamp_exactly():
+    log = DurableLog()
+    log.append(WalPosition(2, 41, 0.1 + 0.2))
+    log.append(WalPosition(2, 42, 7))
+    assert bytes(log._buf) == b"2 41 0.30000000000000004\n2 42 7\n"
+    [first, second], _ = log.replay()
+    assert first.timestamp == 0.1 + 0.2
+    assert type(second.timestamp) is int
+
+
+def test_commits_are_the_full_records_in_order_decoded_fresh():
+    log = DurableLog()
+    log.append(make_record(lseq=0))
+    log.append(WalPosition(1, 0, 2.0))
+    log.append(make_record(lseq=1))
+    commits = list(log.commits())
+    assert commits == [make_record(lseq=0), make_record(lseq=1)]
+    assert commits[0].message is not next(log.commits()).message
+
+
+def test_a_torn_position_is_discarded_like_any_tail():
+    log = DurableLog()
+    log.append(make_record(lseq=0))
+    log.append(WalPosition(1, 5, 3.5))
+    log.truncate_tail(3)
+    replayed, torn = log.replay()
+    assert [type(r) for r in replayed] == [WalRecord]
+    assert torn > 0 and log.records_appended == 1
+    assert [r.lseq for r in log.commits()] == [0]
+
+
+def test_a_corrupt_position_raises():
+    log = DurableLog()
+    log.append(WalPosition(1, 5, 3.5))
+    log.append(make_record(lseq=0))
+    log._buf[0:1] = b"x"
+    with pytest.raises(WalCorruptionError, match="WAL record 0"):
+        log.replay()
 
 
 # -- DurabilityConfig / DurableStore -----------------------------------------

@@ -69,15 +69,6 @@ def test_peek_time_empty_is_none():
     assert EventQueue().peek_time() is None
 
 
-def test_clear_drops_everything():
-    queue = EventQueue()
-    _push(queue, 1.0, lambda: None)
-    _push(queue, 2.0, lambda: None)
-    queue.clear()
-    assert queue.pop() is None
-    assert len(queue) == 0
-
-
 def test_many_events_fifo_within_same_time():
     queue = EventQueue()
     events = [_push(queue, 5.0, lambda i=i: i) for i in range(50)]
@@ -152,16 +143,17 @@ class _Sink:
             self.then()
 
 
-def test_cancel_after_clear_keeps_the_count():
+def test_skip_and_cancel_after_pop_keep_the_count():
     queue = EventQueue()
-    event = _push(queue, 1.0, lambda: None)
-    sized = queue.push_event(_sized(2.0, 3))
-    queue.clear()
-    event.cancel()
-    sized.skip_one()
-    assert len(queue) == 0
-    _push(queue, 3.0, lambda: None)
+    sized = queue.push_event(_sized(1.0, 3))
+    _push(queue, 2.0, lambda: None)
+    assert queue.pop() is sized
     assert len(queue) == 1
+    sized.skip_one()
+    sized.cancel()
+    assert len(queue) == 1
+    _push(queue, 3.0, lambda: None)
+    assert len(queue) == 2
 
 
 def test_group_takes_consecutive_seqs_and_counts_each_member():
