@@ -25,7 +25,6 @@ from repro.cdc.events import (
     change_event_from_dict,
     chunk_from_dict,
     cut_from_dict,
-    value_from_items,
     value_sort_key,
 )
 from repro.cdc.leaderboard import (
@@ -56,6 +55,5 @@ __all__ = [
     "change_event_from_dict",
     "chunk_from_dict",
     "cut_from_dict",
-    "value_from_items",
     "value_sort_key",
 ]

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.messages import Message, message_from_dict
-from repro.core.row import RowValue
 
 CDC_SCHEMA_VERSION = 1
 
@@ -238,8 +237,3 @@ def _unjsonable(part: Any) -> Any:
         return tuple(_unjsonable(item) for item in part)
     return part
 
-
-def value_from_items(items: tuple[tuple[str, Any], ...]) -> RowValue:
-    """A fresh :class:`RowValue` from a wire items tuple (consumers
-    never alias producer state)."""
-    return RowValue(dict(items))

@@ -54,7 +54,6 @@ from repro.cdc.events import (
     ChangeEvent,
     Cut,
     SnapshotChunk,
-    value_from_items,
     value_sort_key,
 )
 from repro.cdc.subscription import Subscription
@@ -146,12 +145,12 @@ class CdcView:
         ns = chunk.namespace
         if ns == "rows":
             for row_id, items in chunk.entries:
-                self.rows[row_id] = value_from_items(items)
+                self.rows[row_id] = RowValue.from_sorted_items(items)
             self.superseded.update(chunk.superseded)
         else:
             counts = self.upvotes if ns == "upvotes" else self.downvotes
             for items, count in chunk.entries:
-                counts[value_from_items(items)] = count
+                counts[RowValue.from_sorted_items(items)] = count
         self._windows[ns].append((chunk.boundary, chunk.high))
 
     def _merge(self) -> None:

@@ -5,8 +5,10 @@ exact-match lookups for upvotes, subset tests for downvote subsumption,
 cell-postings intersections for ``rows_subsuming``.  A
 :class:`ValueInterner` maps each distinct :class:`RowValue` (and each
 distinct (column, value) cell) to a dense integer id on first sight, so
-those comparisons become integer indexing and small-frozenset algebra
-over ids instead of hashing whole value-vectors repeatedly.
+those comparisons become integer indexing and set tests over cell-id
+tuples instead of hashing whole value-vectors repeatedly.  An id's cells
+are kept as a tuple of ints only: the collector stops tracking such a
+tuple, where it would re-scan a frozenset per value for the whole run.
 
 Ids are assigned in first-seen order, which is a deterministic function
 of the operation stream alone — replays of the same seed intern
@@ -28,14 +30,13 @@ Cell = tuple[str, Any]
 class ValueInterner:
     """First-seen-order interner for value-vectors and their cells."""
 
-    __slots__ = ("_vid_of", "_values", "_cid_of", "_cell_ids", "_cell_sets")
+    __slots__ = ("_vid_of", "_values", "_cid_of", "_cell_ids")
 
     def __init__(self) -> None:
         self._vid_of: dict[RowValue, int] = {}
         self._values: list[RowValue] = []
         self._cid_of: dict[Cell, int] = {}
         self._cell_ids: list[tuple[int, ...]] = []
-        self._cell_sets: list[frozenset[int]] = []
 
     def __len__(self) -> int:
         return len(self._values)
@@ -44,8 +45,7 @@ class ValueInterner:
         """The dense id of *value*, assigning the next id on first sight.
 
         Interning a value also interns each of its (column, value) cells,
-        so :meth:`cell_ids` / :meth:`cell_set` are always available for an
-        interned id.
+        so :meth:`cell_ids` is always available for an interned id.
         """
         vid = self._vid_of.get(value)
         if vid is not None:
@@ -61,9 +61,7 @@ class ValueInterner:
                 cid = len(cid_of)
                 cid_of[cell] = cid
             cids.append(cid)
-        ids = tuple(cids)
-        self._cell_ids.append(ids)
-        self._cell_sets.append(frozenset(ids))
+        self._cell_ids.append(tuple(cids))
         return vid
 
     def id_of(self, value: RowValue) -> int | None:
@@ -77,8 +75,3 @@ class ValueInterner:
     def cell_ids(self, vid: int) -> tuple[int, ...]:
         """Cell ids of the value behind *vid*, in column-sorted order."""
         return self._cell_ids[vid]
-
-    def cell_set(self, vid: int) -> frozenset[int]:
-        """Cell ids of *vid* as a frozenset (for subsumption tests:
-        value a subsumes value b iff cell_set(a) >= cell_set(b))."""
-        return self._cell_sets[vid]

@@ -9,16 +9,16 @@ downvoted vector, and template subsumption (s ⊇ t) is defined on them.
 :class:`RowValue` is therefore immutable and hashable; :class:`Row`
 pairs an identifier and a value with its mutable vote counts.
 
-Because value-vectors are compared millions of times in a long
-collection (every downvote, every probable-set refresh), a RowValue
-precomputes the derived views the hot paths need: the (column, value)
-pair set for subsumption tests, the plain mapping for lookups, and the
-filled-column set for completeness checks.
+Every replica keeps one value per committed op, so a RowValue holds
+its pairs once: a sorted pairs tuple (equality, hashing, iteration)
+and the column → value dict built from it.  Subsumption and the
+filled-column tests run on that dict's ``items()``/``keys()`` views,
+which are set-like at C level, instead of on frozensets kept beside it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, ItemsView, Iterator, Mapping
+from typing import Any, Callable, ItemsView, Iterable, Iterator, KeysView, Mapping
 
 #: A single cell's value on the wire: plain scalars only.  Everything a
 #: fill can put in a cell (and everything the exchange/trace codecs
@@ -34,7 +34,8 @@ class RowValue(Mapping[str, Any]):
 
     The subsumption order of the paper is exposed as :meth:`subsumes`
     (⊇) and :meth:`issubset` (⊆).  An empty RowValue is the value of an
-    empty row.
+    empty row.  Equality, hashing and iteration use the sorted pairs;
+    lookups and the subset tests use the dict built from them.
 
     Example:
         >>> partial = RowValue({"name": "Messi"})
@@ -45,20 +46,27 @@ class RowValue(Mapping[str, Any]):
         False
     """
 
-    __slots__ = ("_items", "_hash", "_map", "_itemset", "_columns")
+    __slots__ = ("_items", "_hash", "_map")
 
     def __init__(self, values: Mapping[str, Any] | None = None) -> None:
-        items = dict(values or {})
-        for column in items:
-            if not isinstance(column, str):
-                raise TypeError(f"column names must be strings, got {column!r}")
-        self._items: tuple[tuple[str, Any], ...] = tuple(
-            sorted(items.items(), key=lambda kv: kv[0])
-        )
+        pairs = dict(values or {})
+        _check_columns(pairs)
+        # Keys are distinct strings, so the pairs sort by column alone.
+        self._map: dict[str, Any] = dict(sorted(pairs.items()))
+        self._items: tuple[tuple[str, Any], ...] = tuple(self._map.items())
         self._hash = hash(self._items)
-        self._map: dict[str, Any] = dict(self._items)
-        self._itemset: frozenset[tuple[str, Any]] = frozenset(self._items)
-        self._columns: frozenset[str] = frozenset(self._map)
+
+    @classmethod
+    def from_sorted_items(cls, items: Iterable[tuple[str, Any]]) -> "RowValue":
+        """A value from (column, value) pairs already in column order,
+        such as a value's :meth:`items_tuple` off the wire, without the
+        sort.  It builds its own pairs, so it never aliases *items*."""
+        value = cls.__new__(cls)
+        value._map = mapping = dict(items)
+        _check_columns(mapping)
+        value._items = tuple(mapping.items())
+        value._hash = hash(value._items)
+        return value
 
     # -- Mapping interface ---------------------------------------------------
 
@@ -66,7 +74,7 @@ class RowValue(Mapping[str, Any]):
         return self._map[column]
 
     def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self._items)
+        return iter(self._map)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -105,11 +113,11 @@ class RowValue(Mapping[str, Any]):
 
     def subsumes(self, other: "RowValue") -> bool:
         """True when self ⊇ other: every pair of *other* appears in self."""
-        return other._itemset <= self._itemset
+        return other._map.items() <= self._map.items()
 
     def issubset(self, other: "RowValue") -> bool:
         """True when self ⊆ other."""
-        return self._itemset <= other._itemset
+        return self._map.items() <= other._map.items()
 
     def with_value(self, column: str, value: Any) -> "RowValue":
         """A new value with *column* additionally filled in.
@@ -120,13 +128,11 @@ class RowValue(Mapping[str, Any]):
         """
         if column in self._map:
             raise ValueError(f"column {column!r} already filled")
-        current = dict(self._items)
-        current[column] = value
-        return RowValue(current)
+        return RowValue({**self._map, column: value})
 
     def without_column(self, column: str) -> "RowValue":
         """A new value with *column* removed (used by the modify action)."""
-        return RowValue({k: v for k, v in self._items if k != column})
+        return RowValue.from_sorted_items(kv for kv in self._items if kv[0] != column)
 
     def merge(self, other: "RowValue") -> "RowValue":
         """The union of two compatible partial values.
@@ -156,14 +162,13 @@ class RowValue(Mapping[str, Any]):
         """True for the value of an empty row."""
         return not self._items
 
-    def filled_columns(self) -> frozenset[str]:
-        """Names of the columns this value assigns."""
-        return self._columns
+    def filled_columns(self) -> KeysView[str]:
+        """Names of the columns this value assigns (a set-like view)."""
+        return self._map.keys()
 
     def is_complete(self, column_names: tuple[str, ...]) -> bool:
         """True when every column in *column_names* is assigned."""
-        filled = self._columns
-        return all(name in filled for name in column_names)
+        return all(map(self._map.__contains__, column_names))
 
     def key(self, key_columns: tuple[str, ...]) -> tuple | None:
         """The primary-key tuple, or None if any key column is empty."""
@@ -174,8 +179,14 @@ class RowValue(Mapping[str, Any]):
 
     def missing_columns(self, column_names: tuple[str, ...]) -> tuple[str, ...]:
         """Columns of *column_names* this value leaves empty, in order."""
-        filled = self._columns
+        filled = self._map
         return tuple(name for name in column_names if name not in filled)
+
+
+def _check_columns(mapping: Mapping[Any, Any]) -> None:
+    for column in mapping:
+        if not isinstance(column, str):
+            raise TypeError(f"column names must be strings, got {column!r}")
 
 
 EMPTY_VALUE = RowValue()

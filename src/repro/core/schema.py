@@ -117,6 +117,8 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in {names}")
         object.__setattr__(self, "columns", tuple(self.columns))
+        # Not a field: equality, hashing and repr stay the fields'.
+        object.__setattr__(self, "_column_names", tuple(names))
         # Default: all columns together are the key (section 2.1).
         key = tuple(self.primary_key) or tuple(names)
         for column_name in key:
@@ -129,7 +131,7 @@ class Schema:
     @property
     def column_names(self) -> tuple[str, ...]:
         """All column names, in declared order."""
-        return tuple(c.name for c in self.columns)
+        return self._column_names
 
     @property
     def key_columns(self) -> tuple[str, ...]:

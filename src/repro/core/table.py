@@ -128,6 +128,9 @@ class CandidateTable:
 
         self._key_columns = schema.key_columns
         self._all_columns = schema.column_names
+        # Shared by every indexed row: a bound method per row would be
+        # one more object per live row for the collector to scan.
+        self._observer = self._on_votes_changed
 
         # -- secondary indexes over the rows ------------------------------
         self._by_value: dict[int, set[str]] = {}    # value id -> row ids
@@ -231,12 +234,11 @@ class CandidateTable:
     def _subsuming_ids_vid(self, vid: int) -> list[str]:
         """Identifiers of rows subsuming the value behind *vid*.
 
-        The candidates are the shortest posting list among the value's
-        cells (a subsuming row must carry every cell); with a single
-        cell no further filtering is needed.
+        A subsuming row carries every cell, so it is in every cell's
+        posting: the rows of the shortest posting that are in all of
+        them, in that posting's order.
         """
-        interner = self._interner
-        cells = interner.cell_ids(vid)
+        cells = self._interner.cell_ids(vid)
         if not cells:
             return list(self._rows)
         postings = []
@@ -248,10 +250,8 @@ class CandidateTable:
         smallest = min(postings, key=len)
         if len(cells) == 1:
             return list(smallest)
-        qset = interner.cell_set(vid)
-        cell_set = interner.cell_set
-        vid_of = self._vid_of_row
-        return [i for i in smallest if cell_set(vid_of[i]) >= qset]
+        common = smallest.intersection(*postings)
+        return [i for i in smallest if i in common]
 
     def rows_in_group(self, key: tuple) -> list[Row]:
         """Rows whose primary key equals *key*, in row-id order."""
@@ -326,7 +326,7 @@ class CandidateTable:
         else:
             self._by_key.setdefault(key, set()).add(row_id)
             self._mark_key_dirty(key)
-        row._observer = self._on_votes_changed
+        row._observer = self._observer
 
     def _deindex_row(self, row: Row) -> None:
         row_id = row.row_id
@@ -448,26 +448,22 @@ class CandidateTable:
     def apply_upvote(self, value: RowValue) -> int:
         """Process an upvote message; returns the number of rows bumped."""
         vid = self._interner.intern(value)
-        bumped = 0
-        ids = self._by_value.get(vid)
-        if ids:
-            rows = self._rows
-            for row_id in ids:
-                rows[row_id].upvotes += 1
-                bumped += 1
+        ids = self._by_value.get(vid, ())
+        rows = self._rows
+        for row_id in ids:
+            rows[row_id].upvotes += 1
         self._votes.up_add(vid)
-        return bumped
+        return len(ids)
 
     def apply_downvote(self, value: RowValue) -> int:
         """Process a downvote message; returns the number of rows bumped."""
         vid = self._interner.intern(value)
-        bumped = 0
+        ids = self._subsuming_ids_vid(vid)
         rows = self._rows
-        for row_id in self._subsuming_ids_vid(vid):
+        for row_id in ids:
             rows[row_id].downvotes += 1
-            bumped += 1
         self._votes.down_add(vid)
-        return bumped
+        return len(ids)
 
     def apply_undo_upvote(self, value: RowValue) -> int:
         """Process an undo-upvote (extension, paper section 8).
@@ -483,26 +479,24 @@ class CandidateTable:
         vid = self._interner.intern(value)
         if self._votes.up_count(vid) <= 0:
             raise ValueError(f"no upvote recorded for {value!r}")
-        bumped = 0
+        ids = self._by_value.get(vid, ())
         rows = self._rows
-        for row_id in self._by_value.get(vid, ()):
+        for row_id in ids:
             rows[row_id].upvotes -= 1
-            bumped += 1
         self._votes.up_add(vid, -1)
-        return bumped
+        return len(ids)
 
     def apply_undo_downvote(self, value: RowValue) -> int:
         """Process an undo-downvote (extension, paper section 8)."""
         vid = self._interner.intern(value)
         if self._votes.down_count(vid) <= 0:
             raise ValueError(f"no downvote recorded for {value!r}")
-        bumped = 0
+        ids = self._subsuming_ids_vid(vid)
         rows = self._rows
-        for row_id in self._subsuming_ids_vid(vid):
+        for row_id in ids:
             rows[row_id].downvotes -= 1
-            bumped += 1
         self._votes.down_add(vid, -1)
-        return bumped
+        return len(ids)
 
     # -- derived views: probable rows (4.1) and final table (2.2) -------------
 

@@ -127,12 +127,13 @@ class VoteColumns:
         down = self._down
         empty_vid = self._down_empty_vid
         total = 0 if empty_vid is None else down[empty_vid]
-        cell_set = self.interner.cell_set
-        qset = cell_set(vid)
+        cell_ids = self.interner.cell_ids
+        query = cell_ids(vid)
+        covers = set(query).issuperset
         postings = self._down_postings
-        for cid in self.interner.cell_ids(vid):
+        for cid in query:
             for entry_vid in postings.get(cid, ()):
-                if cell_set(entry_vid) <= qset:
+                if covers(cell_ids(entry_vid)):
                     total += down[entry_vid]
         return total
 

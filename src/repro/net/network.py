@@ -263,8 +263,8 @@ class Network:
         self, source: str, destinations: Sequence[str], payload: Any
     ) -> None:
         """The one send path: check every endpoint, then count, fault-filter,
-        delay and schedule *payload* on each link in order; recipients with
-        one shared delivery time share one delivery, in the same order."""
+        delay and schedule *payload* on each link in order; the recipients
+        due at one time share one delivery, in first-appearance order."""
         if source not in self._endpoints:
             raise KeyError(f"unknown source endpoint: {source!r}")
         for destination in destinations:
@@ -309,9 +309,14 @@ class Network:
             delivery = schedule(_Delivery(self, times[0], channels, payload))
             for channel in channels:
                 channel.pending.append(delivery)
-        else:
-            for channel, at in zip(channels, times):
-                channel.pending.append(schedule(_Delivery(self, at, [channel], payload)))
+            return
+        by_time: dict[float, list[_Channel]] = {}
+        for channel, at in zip(channels, times):
+            by_time.setdefault(at, []).append(channel)
+        for at, group in by_time.items():
+            delivery = schedule(_Delivery(self, at, group, payload))
+            for channel in group:
+                channel.pending.append(delivery)
 
     def drop_in_flight(self, endpoint: str) -> list[DroppedMessage]:
         """Purge every undelivered message to or from *endpoint*.

@@ -286,11 +286,13 @@ def encode_exchange(
 def decode_exchange(batch: ExchangeBatch) -> list[tuple[ShardCommit, Message]]:
     """Decode a batch back into ``(commit, message)`` pairs.
 
-    Fresh :class:`RowValue`/message objects are built per entry — the
+    Fresh message objects are built per entry, and one fresh
+    :class:`RowValue` per distinct value of the batch, shared by the
+    entries naming it (a fill and the auto-upvote riding on it) — the
     receiving shard applies private copies, never the wire objects.
     """
     entries: list[tuple[ShardCommit, Message]] = []
-    values = batch.values
+    values = [RowValue.from_sorted_items(items) for items in batch.values]
     workers = batch.workers
     for offset, op in enumerate(batch.ops):
         kind = op[0]
@@ -301,22 +303,20 @@ def decode_exchange(batch: ExchangeBatch) -> list[tuple[ShardCommit, Message]]:
             message = ReplaceMessage(
                 old_id=op[3],
                 new_id=op[4],
-                value=RowValue(dict(values[op[5]])),
+                value=values[op[5]],
                 column=op[6],
                 filled_value=op[7],
             )
         elif kind == "insert":
             message = InsertMessage(row_id=op[3])
         elif kind == "upvote":
-            message = UpvoteMessage(
-                value=RowValue(dict(values[op[3]])), auto=op[4]
-            )
+            message = UpvoteMessage(value=values[op[3]], auto=op[4])
         elif kind == "downvote":
-            message = DownvoteMessage(value=RowValue(dict(values[op[3]])))
+            message = DownvoteMessage(value=values[op[3]])
         elif kind == "undo_upvote":
-            message = UndoUpvoteMessage(value=RowValue(dict(values[op[3]])))
+            message = UndoUpvoteMessage(value=values[op[3]])
         elif kind == "undo_downvote":
-            message = UndoDownvoteMessage(value=RowValue(dict(values[op[3]])))
+            message = UndoDownvoteMessage(value=values[op[3]])
         else:
             raise ValueError(f"unknown exchange op kind: {kind!r}")
         commit = ShardCommit(

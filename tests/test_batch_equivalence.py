@@ -315,11 +315,11 @@ def _growth_dh(size: int) -> tuple[ValueInterner, VoteColumns]:
 
 def test_subset_sum_examines_constant_entries_as_dh_doubles(monkeypatch):
     """Growth witness: the entries a subset sum examines (one
-    ``cell_set`` call each, past the query's own) stay flat as DH
+    ``cell_ids`` call each, past the query's own) stay flat as DH
     doubles (about 7 per query at both sizes), where walking every
     cell's full posting list grows with DH (262 -> 512)."""
     calls = [0]
-    original = ValueInterner.cell_set
+    original = ValueInterner.cell_ids
 
     def counting(self, vid):
         calls[0] += 1
@@ -335,10 +335,10 @@ def test_subset_sum_examines_constant_entries_as_dh_doubles(monkeypatch):
         ]
         vids = [interner.intern(query) for query in queries]
         calls[0] = 0
-        monkeypatch.setattr(ValueInterner, "cell_set", counting)
+        monkeypatch.setattr(ValueInterner, "cell_ids", counting)
         for vid in vids:
             votes.subset_sum(vid)
-        monkeypatch.setattr(ValueInterner, "cell_set", original)
+        monkeypatch.setattr(ValueInterner, "cell_ids", original)
         examined.append((calls[0] - len(vids)) / len(vids))
     assert all(per_query < 10 for per_query in examined), examined
 

@@ -1,6 +1,8 @@
 """Unit tests for row values and the subsumption order."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Row, RowValue
 from repro.core.row import EMPTY_VALUE
@@ -119,3 +121,57 @@ def test_row_snapshot_includes_votes():
 
 def test_row_repr_mentions_id():
     assert "r1" in repr(Row("r1"))
+
+
+# -- the value against a frozenset-of-pairs oracle ---------------------------
+
+COLUMNS = ("a", "b", "c", "d")
+#: Scalars with the ``True == 1 == 1.0`` and ``False == 0 == 0.0``
+#: collisions a frozenset of pairs and a dict agree on.
+cells = st.one_of(
+    st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, 2, 2.5, None, "", "x"]),
+    st.integers(-3, 3),
+    st.text(alphabet="xy", max_size=2),
+)
+partial_values = st.dictionaries(st.sampled_from(COLUMNS), cells, max_size=4)
+column_lists = st.lists(st.sampled_from(COLUMNS + ("e",)), max_size=5).map(tuple)
+
+
+def _pairs(mapping):
+    return frozenset(mapping.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_values, partial_values, column_lists)
+def test_value_agrees_with_a_frozenset_of_pairs(left, right, columns):
+    a, b = RowValue(left), RowValue(right)
+    pa, pb = _pairs(left), _pairs(right)
+    filled = frozenset(left)
+
+    assert a.subsumes(b) == (pb <= pa)
+    assert a.issubset(b) == (pa <= pb)
+    assert a.filled_columns() == filled
+    assert a.filled_columns().isdisjoint(right) == filled.isdisjoint(right)
+    assert all((c in a.filled_columns()) == (c in filled) for c in columns)
+    assert a.is_complete(columns) == all(column in filled for column in columns)
+    assert a.missing_columns(columns) == tuple(c for c in columns if c not in filled)
+    assert a.compatible_with(b) == all(
+        left[column] == value for column, value in pb if column in left
+    )
+    assert (a == b) == (pa == pb)
+    if pa == pb:
+        assert hash(a) == hash(b)
+
+    rebuilt = RowValue.from_sorted_items(a.items_tuple())
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert rebuilt.items_tuple() == a.items_tuple()
+    assert not any(
+        mine is theirs for mine, theirs in zip(rebuilt.items_tuple(), a.items_tuple())
+    )
+    assert rebuilt.mapping == left and rebuilt.subsumes(a) and a.subsumes(rebuilt)
+    assert RowValue.from_sorted_items(sorted(left.items())) == a
+
+
+def test_sorted_items_constructor_rejects_a_non_string_column():
+    with pytest.raises(TypeError):
+        RowValue.from_sorted_items(((1, "x"),))

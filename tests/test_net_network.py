@@ -395,7 +395,7 @@ def test_purged_group_and_plain_deliveries_sort_by_time_then_seq():
     net.check_accounting()
 
 
-def test_latency_spike_on_one_link_takes_the_per_recipient_path():
+def test_latency_spike_on_one_link_splits_the_broadcast_by_delivery_time():
     sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=4)
     spike = LatencySpike(
         start=0.0, end=10.0, factor=3.0, source="server", destination="c1"
@@ -404,7 +404,8 @@ def test_latency_spike_on_one_link_takes_the_per_recipient_path():
     heap = sim._queue._heap
     before = len(heap)
     net.broadcast("server", list(sinks), "op")
-    assert len(heap) - before == 4
+    # One delivery for the three links due at 0.5 s, one for the spiked link.
+    assert len(heap) - before == 2
     order = []
     for name, sink in sinks.items():
         sink.on_message = lambda source, payload, name=name: order.append(
@@ -413,6 +414,35 @@ def test_latency_spike_on_one_link_takes_the_per_recipient_path():
     sim.run()
     assert order == [("c0", 0.5), ("c2", 0.5), ("c3", 0.5), ("c1", 1.5)]
 
+
+
+def test_purge_of_a_broadcast_split_by_time_sorts_by_time_then_send_order():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=4)
+    spike = LatencySpike(
+        start=0.0, end=10.0, factor=3.0, source="server", destination="c1"
+    )
+    FaultInjector(sim, net, FaultPlan(spikes=(spike,))).install()
+    net.broadcast("server", list(sinks), "first")
+    net.broadcast("server", list(sinks), "second")
+    links = [("server", "c3"), ("server", "c1"), ("server", "c2")]
+    dropped = net.drop_in_flight_links(links)
+    assert [(d.destination, d.payload) for d in dropped] == [
+        ("c2", "first"),
+        ("c3", "first"),
+        ("c2", "second"),
+        ("c3", "second"),
+        ("c1", "first"),
+        ("c1", "second"),
+    ]
+    order = []
+    for name, sink in sinks.items():
+        sink.on_message = lambda source, payload, name=name: order.append(
+            (name, payload)
+        )
+    sim.run()
+    assert order == [("c0", "first"), ("c0", "second")]
+    net.check_accounting()
+    assert net.quiescent()
 
 def test_events_fired_equals_messages_delivered():
     obs = Observability()
