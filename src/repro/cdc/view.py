@@ -304,7 +304,20 @@ class CdcView:
         from repro.server.backend import BootstrapState
 
         columns = self._columns
-        downvotes = self.downvotes
+        # Each DH entry is anchored at its first cell, so a row examines
+        # only the entries anchored at one of its own cells — and each
+        # of those once (the empty value is under every row).
+        empty_down = 0
+        anchored: dict[tuple[str, Any], list[tuple[RowValue, int]]] = {}
+        for w, count in self.downvotes.items():
+            items = w.items_tuple()
+            if not items:
+                empty_down += count
+                continue
+            entries = anchored.get(items[0])
+            if entries is None:
+                entries = anchored[items[0]] = []
+            entries.append((w, count))
         rows: list[tuple[str, dict[str, Any], int, int]] = []
         for row_id in sorted(self.rows):
             value = self.rows[row_id]
@@ -313,9 +326,11 @@ class CdcView:
                 if value.is_complete(columns)
                 else 0
             )
-            down = sum(
-                count for w, count in downvotes.items() if w.issubset(value)
-            )
+            down = empty_down
+            for cell in value.items_tuple():
+                for w, count in anchored.get(cell, ()):
+                    if w.issubset(value):
+                        down += count
             rows.append((row_id, dict(value), up, down))
         return BootstrapState(
             rows=rows,

@@ -128,7 +128,11 @@ class CentralClient:
         self._clock = clock or (lambda: 0.0)
         self.matching = IncrementalMatching(row.label for row in self.template_rows)
         self.stats = PriStats()
+        #: Rows probable at the last drain; the matching's rights lag
+        #: them by the pending changes below.
         self._known_probable: set[str] = set()
+        self._pending_added: set[str] = set()
+        self._pending_removed: set[str] = set()
         self._probable_token = self.replica.table.register_probable_consumer()
         self._initialized = False
 
@@ -193,7 +197,7 @@ class CentralClient:
 
     def pri_holds(self) -> bool:
         """Is the PRI currently satisfied (on CC's copy of the table)?"""
-        return not self.matching.free_lefts()
+        return self.matching.saturated
 
     def correspondence(self) -> dict[str, str]:
         """The current template-label → probable-row-id matching."""
@@ -212,43 +216,74 @@ class CentralClient:
         raise KeyError(label)
 
     def _sync_probable_set(self) -> None:
-        """Drain the table's probable-set delta into the bipartite matching.
+        """Drain the table's probable-set delta; feed it to the matching
+        once it can matter.
 
         Row values never change (fills replace rows), so surviving
         probable rows keep their edges; only additions and removals need
         processing — and the table journals exactly those, so the cost
         is O(|membership changes|), not O(|probable set|).  A ``full``
         delta (first drain, or journal overflow) falls back to the
-        original whole-set diff.
+        original whole-set diff against the rows known probable.
+
+        The changes are buffered, coalesced per row, and applied to the
+        matching only when it has a free template row or a buffered
+        removal is a matched row.  Otherwise no augmenting path can
+        appear — the matching is saturated and keeps every pair — so
+        applying later gives the same matching as applying now, since
+        the matching reads its edges in sorted order.  A buffered row
+        that stops being probable before then is never scanned.
         """
         table = self.replica.table
         added_rows, removed_ids, full = table.drain_probable_delta(
             self._probable_token
         )
+        known = self._known_probable
         if full:
             current = {row.row_id: row for row in table.probable_rows()}
-            removed = sorted(self._known_probable - current.keys())
-            added = [
-                current[row_id]
-                for row_id in sorted(current.keys() - self._known_probable)
-            ]
+            removed = known - current.keys()
+            added = current.keys() - known
         else:
-            removed = sorted(
-                row_id for row_id in removed_ids if row_id in self._known_probable
-            )
-            added = sorted(
-                (row for row in added_rows if row.row_id not in self._known_probable),
-                key=lambda row: row.row_id,
-            )
+            removed = [row_id for row_id in removed_ids if row_id in known]
+            added = [row.row_id for row in added_rows if row.row_id not in known]
+        matching = self.matching
+        pending_added = self._pending_added
+        pending_removed = self._pending_removed
+        flush = not matching.saturated
         for row_id in removed:
-            self.matching.remove_right(row_id)
-            self._known_probable.discard(row_id)
-        for row in added:
+            known.discard(row_id)
+            if row_id in pending_added:
+                pending_added.discard(row_id)
+            else:
+                pending_removed.add(row_id)
+                if matching.matched_left(row_id) is not None:
+                    flush = True
+        for row_id in added:
+            known.add(row_id)
+            if row_id in pending_removed:
+                pending_removed.discard(row_id)
+            else:
+                pending_added.add(row_id)
+        if flush:
+            self._apply_pending()
+
+    def _apply_pending(self) -> None:
+        """Apply the buffered probable-set changes to the matching.
+
+        Every buffered addition is probable now, so still in the table.
+        """
+        matching = self.matching
+        table = self.replica.table
+        for row_id in sorted(self._pending_removed):
+            matching.remove_right(row_id)
+        for row_id in sorted(self._pending_added):
+            value = table.row(row_id).value
             neighbors = [
-                t.label for t in self.template_rows if t.connects(row.value)
+                t.label for t in self.template_rows if t.connects(value)
             ]
-            self.matching.add_right(row.row_id, neighbors)
-            self._known_probable.add(row.row_id)
+            matching.add_right(row_id, neighbors)
+        self._pending_removed.clear()
+        self._pending_added.clear()
 
     def _handle_free_row(self, label: str) -> None:
         """A template row stayed free after augmentation: insert or shuffle."""

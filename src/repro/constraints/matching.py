@@ -115,6 +115,12 @@ class IncrementalMatching:
         """The template row matched to probable row *right*, or None."""
         return self._match_of_right.get(right)
 
+    @property
+    def saturated(self) -> bool:
+        """Is every left node matched?  Only then can adding or removing
+        an unmatched right node leave the matching as it is."""
+        return not self._free_lefts
+
     def free_lefts(self) -> list[Hashable]:
         """Template rows currently unmatched (maintained set, not a scan)."""
         if not self._free_lefts:

@@ -315,16 +315,29 @@ class CandidateTable:
         if vid is None:
             vid = self._interner.intern(row.value)
         self._vid_of_row[row_id] = vid
-        self._by_value.setdefault(vid, set()).add(row_id)
+        # Postings are looked up before they are made: a setdefault
+        # would build (and mostly drop) an empty set per call.
+        by_value = self._by_value
+        ids = by_value.get(vid)
+        if ids is None:
+            ids = by_value[vid] = set()
+        ids.add(row_id)
+        by_cell = self._by_cell
         for cid in self._interner.cell_ids(vid):
-            self._by_cell.setdefault(cid, set()).add(row_id)
+            ids = by_cell.get(cid)
+            if ids is None:
+                ids = by_cell[cid] = set()
+            ids.add(row_id)
         key = self._vid_key(vid, row.value)
         self._key_of[row_id] = key
         if key is None:
             self._keyless.add(row_id)
             self._mark_keyless_dirty(row_id)
         else:
-            self._by_key.setdefault(key, set()).add(row_id)
+            ids = self._by_key.get(key)
+            if ids is None:
+                ids = self._by_key[key] = set()
+            ids.add(row_id)
             self._mark_key_dirty(key)
         row._observer = self._observer
 

@@ -14,6 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence, runtime_checkable
 
@@ -108,6 +109,14 @@ class _Channel:
         self.constant = latency.seconds if type(latency) is ConstantLatency else None
 
 
+_last_delivery_time = attrgetter("last_delivery_time")
+
+#: Resolved fan-outs a network keeps before it starts over: one per
+#: (source, recipient tuple) in use, and a server makes a new recipient
+#: tuple whenever its client set changes.
+_FANOUT_LIMIT = 1024
+
+
 class _Delivery(Event):
     """One payload due on one or more links at one instant: one heap
     entry, its recipients taking consecutive seqs in channel order.
@@ -191,6 +200,11 @@ class Network:
         self._endpoints: dict[str, Endpoint] = {}
         self._channels = self.stats.channels
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
+        #: (source, destinations) -> (channels, delay) for a send whose
+        #: links all exist and share one constant delay; see _send_each.
+        self._fanouts: dict[
+            tuple[str, tuple[str, ...]], tuple[tuple[_Channel, ...], float]
+        ] = {}
         self._fault_filter: FaultFilter | None = None
         self._filter_from = 0.0
         if self.obs.enabled:
@@ -217,10 +231,12 @@ class Network:
         if name in self._endpoints:
             raise ValueError(f"endpoint name already registered: {name!r}")
         self._endpoints[name] = endpoint
+        self._fanouts.clear()
 
     def unregister(self, name: str) -> None:
         """Detach the endpoint; in-flight messages to it are dropped."""
         self._endpoints.pop(name, None)
+        self._fanouts.clear()
 
     def endpoints(self) -> list[str]:
         """Names of all registered endpoints."""
@@ -232,6 +248,7 @@ class Network:
         """Override the latency model for one directed link."""
         key = (source, destination)
         self._link_latency[key] = latency
+        self._fanouts.clear()
         if key in self._channels:
             self._channels[key].set_latency(latency)
 
@@ -244,7 +261,7 @@ class Network:
         self._send_each(source, (destination,), payload)
 
     def broadcast(
-        self, source: str, destinations: list[str], payload: Any
+        self, source: str, destinations: Sequence[str], payload: Any
     ) -> None:
         """Send one *payload* to many *destinations*.
 
@@ -254,17 +271,52 @@ class Network:
         object; that is safe because payloads are immutable values,
         which crowdlint's ESC001 proves for every send site.
 
+        The links resolved for a recipient tuple are kept under it (see
+        :meth:`_send_each`), so a caller sending to the same recipients
+        again does best to keep and pass one tuple.
+
         Raises:
             KeyError: if the source or any destination is unknown.
         """
+        if type(destinations) is not tuple:
+            destinations = tuple(destinations)
         self._send_each(source, destinations, payload)
 
     def _send_each(
-        self, source: str, destinations: Sequence[str], payload: Any
+        self, source: str, destinations: tuple[str, ...], payload: Any
     ) -> None:
         """The one send path: check every endpoint, then count, fault-filter,
         delay and schedule *payload* on each link in order; the recipients
-        due at one time share one delivery, in first-appearance order."""
+        due at one time share one delivery, in first-appearance order.
+
+        A send with no fault filter in force whose links all exist and
+        share one constant delay is resolved once and kept as a fan-out:
+        a later send to the same recipients, again without faults and
+        with no link's last delivery past ``now + delay`` (so no FIFO
+        clamp), schedules its one delivery straight from it.  That is
+        what the loop below would do, at a fraction of the cost.
+        """
+        now = self.sim.now
+        faults = self._fault_filter if now >= self._filter_from else None
+        if faults is None:
+            fanout = self._fanouts.get((source, destinations))
+            if fanout is not None:
+                channels, delay = fanout
+                deliver_at = now + delay
+                if max(map(_last_delivery_time, channels)) <= deliver_at:
+                    self.stats.messages_sent += len(channels)
+                    if self.obs.enabled:
+                        self.obs.observe(
+                            "net.latency_seconds", delay, len(channels)
+                        )
+                    delivery = self.sim.schedule_event(
+                        _Delivery(self, deliver_at, list(channels), payload)
+                    )
+                    for channel in channels:
+                        channel.sent += 1
+                        channel.last_delivery_time = deliver_at
+                        channel.pending.append(delivery)
+                    return
         if source not in self._endpoints:
             raise KeyError(f"unknown source endpoint: {source!r}")
         for destination in destinations:
@@ -272,9 +324,8 @@ class Network:
                 raise KeyError(f"unknown destination endpoint: {destination!r}")
         self.stats.messages_sent += len(destinations)
         obs = self.obs
-        now = self.sim.now
-        faults = self._fault_filter if now >= self._filter_from else None
         links = self._channels
+        uniform = faults is None
         channels: list[_Channel] = []
         times: list[float] = []
         delays: list[float] = []
@@ -291,6 +342,7 @@ class Network:
                 continue
             delay = channel.constant
             if delay is None:
+                uniform = False
                 delay = channel.latency.sample(channel.rng)
             if faults is not None:
                 delay *= faults.latency_factor(source, destination)
@@ -304,6 +356,13 @@ class Network:
         if obs.enabled:
             for delay, run in groupby(delays):
                 obs.observe("net.latency_seconds", delay, len(list(run)))
+        if uniform and delays and delays.count(delays[0]) == len(delays):
+            fanouts = self._fanouts
+            key = (source, destinations)
+            if key not in fanouts:
+                if len(fanouts) >= _FANOUT_LIMIT:
+                    fanouts.clear()
+                fanouts[key] = (tuple(channels), delays[0])
         schedule = self.sim.schedule_event
         if times and times.count(times[0]) == len(times):
             delivery = schedule(_Delivery(self, times[0], channels, payload))

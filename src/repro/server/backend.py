@@ -178,7 +178,11 @@ class _CompletionTracker:
     groups touched since the previous check, swapping the group's final
     row in or out of the matching.  A full rebuild happens only on the
     first check, after a journal overflow, or when the Central Client
-    reduces the template.
+    reduces the template.  When neither the final table
+    (``final_epoch``) nor the template-row list changed since the
+    previous check, the previous verdict is returned as it stands: the
+    touched key groups kept their final rows, so nothing in the matching
+    would move.
     """
 
     def __init__(
@@ -194,12 +198,24 @@ class _CompletionTracker:
         self._n_empty = 0
         self._matching: IncrementalMatching | None = None
         self._right_by_key: dict[tuple, str] = {}
+        self._rows: list[TemplateRow] | None = None
+        self._final_epoch = -1
+        self._verdict = False
 
     def satisfied(self) -> bool:
         """Does the master's final table currently satisfy the template?"""
         rows = self._template_rows()
+        table = self._table
+        delta = table.drain_dirty(self._token)
+        if (
+            rows is self._rows
+            and table.final_epoch == self._final_epoch
+            and not delta.full
+        ):
+            return self._verdict
+        self._rows = rows
+        self._final_epoch = table.final_epoch
         sig = tuple(row.label for row in rows)
-        delta = self._table.drain_dirty(self._token)
         if self._matching is None or sig != self._sig or delta.full:
             self._rebuild(rows, sig)
         else:
@@ -207,10 +223,11 @@ class _CompletionTracker:
                 self._update_key(key)
         assert self._matching is not None
         size = self._matching.maximize()
-        return (
+        self._verdict = (
             size == len(self._nonempty)
             and len(self._right_by_key) >= len(self._nonempty) + self._n_empty
         )
+        return self._verdict
 
     def _rebuild(self, rows: list[TemplateRow], sig: tuple[str, ...]) -> None:
         self._sig = sig
@@ -280,13 +297,15 @@ class BackendServer:
     constructed over the same :class:`CandidateTable`), so each message
     is applied exactly once and PRI repair reads master state directly.
     Its refresh is driven by the table's ``probable_epoch``: the server
-    invokes it only when a message actually changed probable-set
-    membership, which is the only condition under which a refresh can
-    act (the matching loses or gains rights only on membership changes,
-    and template reductions happen inside the refresh itself).
-    Likewise the completion check runs only when the final table changed
-    (``final_epoch``) or a PRI repair ran — the only events that can
-    change its verdict.
+    invokes it only when a message changed probable-set membership (the
+    matching gains or loses rights only then, and template reductions
+    happen inside the refresh itself).  A refresh can act only when a
+    template row is free or a *matched* probable row left the set; any
+    other membership change is buffered and reaches the matching later
+    (see :meth:`CentralClient._sync_probable_set`).  The completion
+    check runs when the final table changed (``final_epoch``) or a
+    refresh ran, and its verdict can change only when the final table
+    or the template did, so otherwise the previous verdict stands.
     """
 
     #: The origin this server commits under: a plain server is the one
@@ -356,6 +375,9 @@ class BackendServer:
         self.oplog_capacity = oplog_capacity
         self.changes = ChangeStream(self)
         self._clients: list[str] = []
+        #: Broadcast recipients by excluded client, valid for one
+        #: version of ``_clients`` (see _clients_changed).
+        self._recipients: dict[str | None, tuple[str, ...]] = {}
         self._sessions: dict[str, ClientSession] = {}
         self.on_complete = on_complete
         self.completed = False
@@ -416,6 +438,7 @@ class BackendServer:
         if name in self._clients:
             raise ValueError(f"client already attached: {name!r}")
         self._clients.append(name)
+        self._clients_changed()
         session = ClientSession(
             name, self.trace, deque(maxlen=self.oplog_capacity)
         )
@@ -432,6 +455,7 @@ class BackendServer:
         """
         if name in self._clients:
             self._clients.remove(name)
+            self._clients_changed()
             self._sessions[name].detach_seq = len(self.trace) - 1
 
     def reattach_client(self, name: str, received_count: int) -> ResyncResult:
@@ -477,6 +501,7 @@ class BackendServer:
         )
         session.detach_seq = None
         self._clients.append(name)
+        self._clients_changed()
         if replay is None:
             session.rebase(self.sim.now)
             session.resyncs_snapshot += 1
@@ -558,6 +583,11 @@ class BackendServer:
     @property
     def clients(self) -> tuple[str, ...]:
         return tuple(self._clients)
+
+    def _clients_changed(self) -> None:
+        """Every mutation of ``_clients`` ends here: the cached broadcast
+        recipient tuples describe the old client set."""
+        self._recipients.clear()
 
     # -- message plumbing -------------------------------------------------------
 
@@ -681,12 +711,18 @@ class BackendServer:
 
         Nothing is encoded: every recipient gets the record's one message
         object, immutable as crowdlint's ESC001 proves, so safe to share.
+        The recipients are one cached tuple per excluded client, so the
+        network finds the fan-out it resolved for them before.
         """
         if exclude is not None:
             session = self._sessions.get(exclude)
             if session is not None:
                 session.withhold(record.seq)
-        targets = [c for c in self._clients if c != exclude]
+        targets = self._recipients.get(exclude)
+        if targets is None:
+            targets = self._recipients[exclude] = tuple(
+                c for c in self._clients if c != exclude
+            )
         if not targets:
             return
         self.network.broadcast(self.broadcast_source, targets, record.message)

@@ -229,7 +229,8 @@ def encode_exchange(
     ops: list[tuple[CellValue, ...]] = []
 
     def vref(value: RowValue) -> int:
-        items = tuple(value.items())
+        # The value's own pairs: deeply immutable, so safe to share.
+        items = value.items_tuple()
         ref = value_index.get(items)
         if ref is None:
             ref = len(values)
@@ -714,6 +715,7 @@ class ShardServer(BackendServer):
         self.replica.table.set_observability(self.obs, scope=self._obs_ns)
         self.trace = []
         self._clients = []
+        self._clients_changed()
         self._sessions = {}
         self._pending.clear()
         self.completed = False

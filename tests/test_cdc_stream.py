@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cdc import (
     ChangeEvent,
@@ -34,6 +36,7 @@ from repro.core.messages import (
     ReplaceMessage,
     UpvoteMessage,
 )
+from repro.core.row import RowValue
 from repro.core.schema import soccer_player_schema
 from repro.durability import DurabilityConfig
 from repro.net import ConstantLatency, Network
@@ -623,3 +626,39 @@ def test_follower_bootstrap_on_quiet_stream_and_tail_exchange():
     # Promotion is one-shot.
     with pytest.raises(RuntimeError):
         bootstrap.promote()
+
+
+_CELLS = {"name": ["A", "B"], "nationality": ["X", "Y"], "caps": [1, True, 1.0]}
+
+
+def _cell_values():
+    return st.dictionaries(
+        st.sampled_from(sorted(_CELLS)),
+        st.integers(0, 2),
+    ).map(
+        lambda picks: RowValue(
+            {column: _CELLS[column][i % len(_CELLS[column])]
+             for column, i in picks.items()}
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(_cell_values(), max_size=8),
+    st.dictionaries(_cell_values(), st.integers(-2, 3), max_size=8),
+)
+def test_state_downvotes_are_the_subset_sums_of_the_history(rows, downvotes):
+    """The anchored index finds every DH entry under a row exactly once:
+    the same counts as summing over the whole history per row."""
+    view = CdcView.__new__(CdcView)
+    view._columns = soccer_player_schema().column_names
+    view.rows = {f"r{i}": value for i, value in enumerate(rows)}
+    view.upvotes = {}
+    view.downvotes = downvotes
+    view.superseded = set()
+    expected = [
+        sum(count for w, count in downvotes.items() if w.issubset(value))
+        for _, value in sorted(view.rows.items())
+    ]
+    assert [down for *_, down in view.state().rows] == expected

@@ -4,6 +4,8 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import ConstantLatency, LogNormalLatency, Network, UniformLatency
 from repro.net.faults import FaultInjector, FaultPlan, LatencySpike
@@ -560,3 +562,189 @@ def test_broadcast_observes_a_run_of_equal_delays_once():
     ]
     histogram = obs.metrics.to_dict()["histograms"]["net.latency_seconds"]
     assert histogram["count"] == 8
+
+
+# -- resolved fan-outs: the same sends as the unresolved loop --------------
+
+
+class _Unresolved(Network):
+    """The oracle: forgets every resolved fan-out before each send."""
+
+    def _send_each(self, source, destinations, payload):
+        self._fanouts.clear()
+        super()._send_each(source, destinations, payload)
+
+
+class _Slowdown:
+    """A fault filter that drops nothing and multiplies every delay."""
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def should_drop(self, source, destination):
+        return False
+
+    def latency_factor(self, source, destination):
+        return self.factor
+
+
+_NAMES = ("c0", "c1", "c2")
+_RECIPIENTS = (("c0", "c1", "c2"), ("c1", "c2"), ("c2",), ("c0", "c0", "c1"))
+_fanout_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("broadcast"), st.integers(0, len(_RECIPIENTS) - 1)),
+        st.tuples(st.just("send"), st.sampled_from(_NAMES)),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        st.tuples(
+            st.just("latency"),
+            st.sampled_from(_NAMES),
+            st.sampled_from(["0.1", "0.5", "1.0", "uniform"]),
+        ),
+        st.tuples(st.just("slowdown"), st.sampled_from([None, 0.5, 4.0])),
+        st.tuples(st.just("skip_filter"), st.sampled_from([0.0, 0.2, 2.0])),
+        st.tuples(st.just("purge"), st.sampled_from(_NAMES)),
+        st.tuples(st.just("unregister"), st.sampled_from(_NAMES)),
+        st.tuples(st.just("register"), st.sampled_from(_NAMES)),
+    ),
+    max_size=40,
+)
+
+
+def _replay_fan_out(network_class, steps):
+    """Run *steps* on a fresh network; returns everything observable."""
+    sim = Simulator()
+    net = network_class(
+        sim, default_latency=ConstantLatency(0.5), streams=RngStreams(3)
+    )
+    log = []
+
+    class Logged:
+        def __init__(self, name):
+            self.name = name
+
+        def on_message(self, source, payload):
+            log.append((sim.now, source, self.name, payload))
+
+    for name in ("server",) + _NAMES:
+        net.register(name, Logged(name))
+    payload = 0
+    for step in steps:
+        kind = step[0]
+        payload += 1
+        try:
+            if kind == "broadcast":
+                net.broadcast("server", _RECIPIENTS[step[1]], payload)
+            elif kind == "send":
+                net.send("server", step[1], payload)
+            elif kind == "advance":
+                sim.run(until=sim.now + step[1])
+            elif kind == "latency":
+                model = (
+                    UniformLatency(0.05, 1.5)
+                    if step[2] == "uniform"
+                    else ConstantLatency(float(step[2]))
+                )
+                net.set_link_latency("server", step[1], model)
+            elif kind == "slowdown":
+                net.set_fault_filter(
+                    None if step[1] is None else _Slowdown(step[1])
+                )
+            elif kind == "skip_filter":
+                net.skip_fault_filter_until(sim.now + step[1])
+            elif kind == "purge":
+                log.append(("purged", net.drop_in_flight(step[1])))
+            elif kind == "unregister":
+                net.unregister(step[1])
+            else:
+                net.register(step[1], Logged(step[1]))
+        except (KeyError, ValueError) as exc:
+            log.append(("raised", type(exc).__name__))
+        net.check_accounting()
+    sim.run()
+    links = {key: (c.sent, c.delivered, c.dropped) for key, c in net.stats.channels.items()}
+    return log, links, net.stats.messages_sent, net.stats.messages_dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fanout_steps)
+def test_resolved_fan_outs_send_what_the_loop_sends(steps):
+    assert _replay_fan_out(Network, steps) == _replay_fan_out(_Unresolved, steps)
+
+
+def test_a_fan_out_is_resolved_by_the_send_that_opens_its_links():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=3)
+    names = tuple(sinks)
+    net.broadcast("server", names, "op")
+    assert net._fanouts[("server", names)][1] == 0.5
+    sim.run()
+    assert [sink.got for sink in sinks.values()] == [[("server", "op")]] * 3
+
+
+def test_duplicate_recipients_get_every_copy_through_a_fan_out():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=2)
+    for payload in ("first", "second"):
+        net.broadcast("server", ("c0", "c0", "c1"), payload)
+    assert len(net._fanouts) == 1
+    assert sim.run() == 6
+    assert sinks["c0"].got == [("server", "first")] * 2 + [("server", "second")] * 2
+    assert net.stats.channels[("server", "c0")].delivered == 4
+    net.check_accounting()
+
+
+def test_unregister_forgets_fan_outs_and_the_next_send_raises():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=2)
+    net.broadcast("server", ("c0", "c1"), "first")
+    net.unregister("c1")
+    assert not net._fanouts
+    with pytest.raises(KeyError):
+        net.broadcast("server", ("c0", "c1"), "second")
+    sim.run()
+    assert sinks["c0"].got == [("server", "first")]
+    net.check_accounting()
+
+
+def test_a_smaller_constant_latency_is_still_clamped_to_link_order():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=2)
+    arrivals = []
+    for name, sink in sinks.items():
+        sink.on_message = lambda source, payload, name=name: arrivals.append(
+            (name, payload, sim.now)
+        )
+    net.broadcast("server", ("c0", "c1"), "first")
+    net.set_link_latency("server", "c0", ConstantLatency(0.1))
+    net.set_link_latency("server", "c1", ConstantLatency(0.1))
+    assert not net._fanouts
+    net.broadcast("server", ("c0", "c1"), "second")  # clamped to 0.5 s
+    net.broadcast("server", ("c0", "c1"), "third")  # still clamped
+    sim.run(until=0.6)
+    net.broadcast("server", ("c0", "c1"), "fourth")  # 0.7 s: no clamp
+    sim.run()
+    assert arrivals == [
+        ("c0", "first", 0.5), ("c1", "first", 0.5),
+        ("c0", "second", 0.5), ("c1", "second", 0.5),
+        ("c0", "third", 0.5), ("c1", "third", 0.5),
+        ("c0", "fourth", 0.7), ("c1", "fourth", 0.7),
+    ]
+
+
+def test_a_spike_window_bypasses_the_fan_out_and_its_tail_is_clamped():
+    sim, net, sinks = _fan_out(ConstantLatency(0.5), recipients=2)
+    names = ("c0", "c1")
+    net.broadcast("server", names, "before")
+    spike = LatencySpike(
+        start=1.0, end=2.0, factor=4.0, source="server", destination="c1"
+    )
+    injector = FaultInjector(sim, net, FaultPlan(spikes=(spike,)))
+    injector.install()
+    net.skip_fault_filter_until(1.0)
+    sim.run(until=1.0)
+    net.broadcast("server", names, "spiked")  # c1 due at 3.0 s
+    net.set_fault_filter(None)
+    sim.run(until=2.0)
+    net.broadcast("server", names, "after")  # c1 clamped to 3.0 s
+    sim.run()
+    assert sinks["c0"].got == [
+        ("server", "before"), ("server", "spiked"), ("server", "after")
+    ]
+    assert sinks["c1"].got == sinks["c0"].got
+    assert net.stats.channels[("server", "c1")].last_delivery_time == 3.0

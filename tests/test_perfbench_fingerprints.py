@@ -3,11 +3,12 @@
 Each job of ``perfbench/workloads.py`` (imported as it is, not copied)
 ends with a fingerprint of its final state, and ``perfbench/run.py``
 prints them (``state fingerprint of seed N``).  This pins the run-seed
-1 panel of every workload, and the run-seed 2 panel of the ingest
-workloads, so a behaviour-preserving change is checked here instead of
-by hand.  An intentional change of a workload's state updates
-:data:`FINGERPRINTS` or :data:`SEED_2_FINGERPRINTS` and says so in
-CHANGES.md.
+1 panel of every workload, the run-seed 2 panel of the ingest
+workloads and the run-seed 7 panel of ``crowd-session``, so a
+behaviour-preserving change is checked here instead of by hand.  An
+intentional change of a workload's state updates :data:`FINGERPRINTS`,
+:data:`SEED_2_FINGERPRINTS` or :data:`SEED_7_FINGERPRINTS` and says so
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -35,6 +36,16 @@ FINGERPRINTS = {
 SEED_2_FINGERPRINTS = {
     "live-ingest": {2: "f7808447d8f944ba"},
     "sharded-durable": {2: "9e5bf1760339a73d"},
+}
+#: ``crowd-session``'s run-seed 7 panel: five more collections.
+SEED_7_FINGERPRINTS = {
+    "crowd-session": {
+        35: "f556b1d6e4bcf7f4",
+        36: "96fc7061fa44b574",
+        37: "5f2570b3a342e9d0",
+        38: "a8ea8172dccc9f1a",
+        39: "f89cece36e7abd89",
+    },
 }
 
 pytestmark = [
@@ -75,3 +86,9 @@ def test_workload_panel_matches_pinned_fingerprints(name, workloads):
 @pytest.mark.parametrize("name", sorted(SEED_2_FINGERPRINTS))
 def test_run_seed_2_panel_matches_pinned_fingerprints(name, workloads):
     assert _panel_fingerprints(workloads, name, 2) == SEED_2_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED_7_FINGERPRINTS))
+def test_run_seed_7_panel_matches_pinned_fingerprints(name, workloads):
+    assert workloads.panel(name, 7) == sorted(SEED_7_FINGERPRINTS[name])
+    assert _panel_fingerprints(workloads, name, 7) == SEED_7_FINGERPRINTS[name]

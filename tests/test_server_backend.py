@@ -456,3 +456,48 @@ def test_bind_faults_late_binds_a_client_that_arrives_after_install():
     assert late.snapshot() == backend.replica.snapshot()
     names = {dict(r.value).get("name") for r in backend.replica.table.rows()}
     assert "Messi" in names
+
+
+def test_broadcast_recipients_follow_every_change_of_the_client_set():
+    """Every change of the client set shows in the next broadcast: a
+    detach, an attach that restores the old size with another member,
+    and a reattach (which replays what the client missed)."""
+    from repro.core import RowValue
+    from repro.core.messages import DownvoteMessage
+
+    sim = Simulator()
+    network = Network(sim, default_latency=ConstantLatency(0.05),
+                      streams=RngStreams(0))
+    backend = BackendServer(sim, network, soccer_player_schema(), SCORING,
+                            Template.cardinality(1))
+    got = {name: [] for name in ("a", "b", "c")}
+    for name in got:
+        sink = type("Sink", (), {})()
+        sink.on_message = lambda source, payload, name=name: got[name].append(payload)
+        network.register(name, sink)
+    backend.attach_client("a")
+    backend.attach_client("b")
+    backend.start()
+    sim.run()
+    votes = [DownvoteMessage(value=RowValue({"name": f"P{i}"})) for i in range(5)]
+
+    def vote(i):
+        backend.ingest("a", [votes[i]])
+        sim.run()
+
+    vote(0)
+    backend.detach_client("b")
+    vote(1)
+    backend.attach_client("c")
+    vote(2)
+    assert votes[0] in got["b"]
+    assert votes[1] not in got["b"] and votes[2] not in got["b"]
+    assert got["c"] == [votes[2]]
+    backend.detach_client("c")
+    vote(3)
+    result = backend.reattach_client("b", received_count=len(got["b"]))
+    assert result.kind == "incremental"
+    vote(4)
+    assert got["b"][-4:] == votes[1:]
+    assert got["c"] == [votes[2]]
+    assert all(v not in got["a"] for v in votes)
